@@ -194,17 +194,144 @@ func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hiera
 }
 
 // buildLevels fills hierarchy levels 2..wmax from the per-pair minimal
-// affinity windows. Level w's affine-pair set is the threshold query
-// minW(pair) <= w, answered directly against the flat table — no
-// per-level set materialization. The merge chain is sequential because
-// level w merges whole groups of level w-1 (lower-level precedence), but
-// it is cheap next to the stack passes.
+// affinity windows, merging each level from the one below (lower-level
+// precedence, so the chain is sequential) exactly as Algorithm 1's greedy
+// merge does (buildLevelsNaive), but at O(sum of degrees) per level
+// instead of O(groups²) pair probes. A unit can join a group only if
+// every cross pair is affine at w, so it needs an affine partner of its
+// own in every member: counting, per group, the unit's affine partners
+// there finds the compatible groups — those whose count is
+// len(unit)·len(group) — and first-fit takes the one created first.
 func buildLevels(h *Hierarchy, wmax int, minW *flathash.Sum64) {
+	idx := newPartnerIndex(minW, len(h.firstOcc), wmax)
+	m := &levelMerger{groupOf: make([]int32, len(h.firstOcc))}
 	prev := h.Levels[0]
 	for w := 2; w <= wmax; w++ {
-		prev = mergeLevel(prev, w, minW, h.firstOcc)
+		prev = m.merge(prev, w, idx)
 		h.Levels[w-1] = prev
 	}
+}
+
+// partnerIndex lists each symbol's affine partners in CSR form: symbol
+// s's partners are sym[off[s]:off[s+1]], in ascending order of their
+// minimal affine window win, so level w reads the prefix with win <= w.
+type partnerIndex struct {
+	off []int32
+	sym []int32
+	win []int32
+}
+
+// newPartnerIndex builds the index for symbols [0, nsym) from the
+// minimal-window table, dropping pairs affine only above wmax.
+func newPartnerIndex(minW *flathash.Sum64, nsym, wmax int) *partnerIndex {
+	// Bucket the pairs by window, then deal each bucket out to both
+	// symbols' lists in window order.
+	byWin := make([]int32, wmax+2)
+	deg := make([]int32, nsym+1)
+	minW.ForEach(func(key, w int64) {
+		if w <= int64(wmax) {
+			byWin[w+1]++
+			deg[(key>>32)+1]++
+			deg[(key&0xffffffff)+1]++
+		}
+	})
+	for w := 1; w <= wmax+1; w++ {
+		byWin[w] += byWin[w-1]
+	}
+	pairs := make([]int64, byWin[wmax+1])
+	minW.ForEach(func(key, w int64) {
+		if w <= int64(wmax) {
+			pairs[byWin[w]] = key
+			byWin[w]++
+		}
+	})
+	for s := 1; s <= nsym; s++ {
+		deg[s] += deg[s-1]
+	}
+	idx := &partnerIndex{off: deg, sym: make([]int32, 2*len(pairs)), win: make([]int32, 2*len(pairs))}
+	fill := append([]int32(nil), deg[:nsym]...)
+	for _, key := range pairs {
+		x, y := int32(key>>32), int32(key&0xffffffff)
+		w := int32(minW.Get(key))
+		idx.sym[fill[x]], idx.win[fill[x]] = y, w
+		fill[x]++
+		idx.sym[fill[y]], idx.win[fill[y]] = x, w
+		fill[y]++
+	}
+	return idx
+}
+
+// levelMerger holds the per-level merge scratch, reused across levels.
+type levelMerger struct {
+	groupOf []int32 // symbol -> its group at this level, -1 until placed
+	hits    []int32 // group -> affine partners of the current unit in it
+	size    []int32 // group -> member count
+	touched []int32 // groups with non-zero hits
+	unitOf  []int32 // unit -> its group
+}
+
+// merge forms the partition at window w from prev, as the greedy
+// mergeLevel does.
+func (m *levelMerger) merge(prev Partition, w int, idx *partnerIndex) Partition {
+	for _, unit := range prev.Groups {
+		for _, s := range unit {
+			m.groupOf[s] = -1
+		}
+	}
+	m.size = m.size[:0]
+	m.unitOf = m.unitOf[:0]
+	for _, unit := range prev.Groups {
+		for _, a := range unit {
+			for i := idx.off[a]; i < idx.off[a+1] && idx.win[i] <= int32(w); i++ {
+				g := m.groupOf[idx.sym[i]]
+				if g < 0 {
+					continue
+				}
+				if m.hits[g] == 0 {
+					m.touched = append(m.touched, g)
+				}
+				m.hits[g]++
+			}
+		}
+		best := int32(len(m.size))
+		for _, g := range m.touched {
+			if int(m.hits[g]) == len(unit)*int(m.size[g]) && g < best {
+				best = g
+			}
+			m.hits[g] = 0
+		}
+		m.touched = m.touched[:0]
+		if best == int32(len(m.size)) {
+			m.size = append(m.size, 0)
+			if len(m.hits) < len(m.size) {
+				m.hits = append(m.hits, 0)
+			}
+		}
+		m.size[best] += int32(len(unit))
+		m.unitOf = append(m.unitOf, best)
+		for _, s := range unit {
+			m.groupOf[s] = best
+		}
+	}
+	// Units join their group in first-occurrence order and stay
+	// contiguous in it, and groups are numbered in the first-occurrence
+	// order of their first unit, so the partition needs no sorting. The
+	// groups share one backing array.
+	total := 0
+	for _, n := range m.size {
+		total += int(n)
+	}
+	out := Partition{W: w, Groups: make([][]int32, len(m.size))}
+	members := make([]int32, total)
+	for g, n := range m.size {
+		out.Groups[g] = members[:0:n]
+		members = members[n:]
+	}
+	for u, unit := range prev.Groups {
+		g := m.unitOf[u]
+		out.Groups[g] = append(out.Groups[g], unit...)
+	}
+	return out
 }
 
 // minShardSpan is the smallest shard the sharded stack passes accept, in
@@ -452,58 +579,4 @@ func newHierarchyShellFrom(firstOcc []int32, occCount []int64, order []int32, wm
 		h.Levels[w-1] = base // overwritten by the builder; harmless default
 	}
 	return h
-}
-
-// mergeLevel forms the partition at window w by greedily merging the
-// previous level's groups (Algorithm 1 with lower-level precedence):
-// units are considered in first-occurrence order; a unit joins the first
-// existing group with which *every* cross pair of blocks is affine at
-// w, otherwise it starts a new group.
-func mergeLevel(prev Partition, w int, minW *flathash.Sum64, firstOcc []int32) Partition {
-	type group struct {
-		members []int32
-	}
-	var groups []*group
-	for _, unit := range prev.Groups {
-		placed := false
-		for _, g := range groups {
-			if unitCompatible(unit, g.members, minW, int64(w)) {
-				g.members = append(g.members, unit...)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, &group{members: append([]int32(nil), unit...)})
-		}
-	}
-	// Units joined a group in first-occurrence order and stay contiguous
-	// inside it, so lower-level groups remain adjacent in the sequence
-	// (the bottom-up traversal property). Groups were also created in
-	// first-occurrence order of their first unit, so no re-sorting is
-	// needed — and none is allowed, since sorting members would tear
-	// units apart.
-	out := Partition{W: w, Groups: make([][]int32, len(groups))}
-	for i, g := range groups {
-		out.Groups[i] = g.members
-	}
-	sort.SliceStable(out.Groups, func(a, b int) bool {
-		return firstOcc[out.Groups[a][0]] < firstOcc[out.Groups[b][0]]
-	})
-	return out
-}
-
-// unitCompatible reports whether every cross pair between unit and
-// members is affine at window w: the pair's minimal affine window is
-// recorded (non-zero) and at most w.
-func unitCompatible(unit, members []int32, minW *flathash.Sum64, w int64) bool {
-	for _, a := range unit {
-		for _, b := range members {
-			mw := minW.Get(pairKey(a, b))
-			if mw == 0 || mw > w {
-				return false
-			}
-		}
-	}
-	return true
 }

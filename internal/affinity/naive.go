@@ -1,6 +1,8 @@
 package affinity
 
 import (
+	"sort"
+
 	"codelayout/internal/flathash"
 	"codelayout/internal/trace"
 )
@@ -30,8 +32,19 @@ func BuildHierarchyNaive(t *trace.Trace, opt Options) *Hierarchy {
 	for k, w := range pairMinWindows(tt.Syms) {
 		minW.Set(k, int64(w))
 	}
-	buildLevels(h, wmax, minW)
+	buildLevelsNaive(h, wmax, minW)
 	return h
+}
+
+// buildLevelsNaive fills hierarchy levels 2..wmax with Algorithm 1's
+// greedy merge, probing the minimal-window table for every cross pair:
+// O(groups²) probes per level. It is the oracle for buildLevels.
+func buildLevelsNaive(h *Hierarchy, wmax int, minW *flathash.Sum64) {
+	prev := h.Levels[0]
+	for w := 2; w <= wmax; w++ {
+		prev = mergeLevel(prev, w, minW, h.firstOcc)
+		h.Levels[w-1] = prev
+	}
 }
 
 // pairMinWindows returns, for every symbol pair, the smallest w at which
@@ -92,4 +105,58 @@ func pairMinWindows(syms []int32) map[int64]int {
 	// of co-occurring symbols and the max-fold above already encodes the
 	// "every occurrence" quantifier of Definition 3.
 	return minW
+}
+
+// mergeLevel forms the partition at window w by greedily merging the
+// previous level's groups (Algorithm 1 with lower-level precedence):
+// units are considered in first-occurrence order; a unit joins the first
+// existing group with which *every* cross pair of blocks is affine at
+// w, otherwise it starts a new group.
+func mergeLevel(prev Partition, w int, minW *flathash.Sum64, firstOcc []int32) Partition {
+	type group struct {
+		members []int32
+	}
+	var groups []*group
+	for _, unit := range prev.Groups {
+		placed := false
+		for _, g := range groups {
+			if unitCompatible(unit, g.members, minW, int64(w)) {
+				g.members = append(g.members, unit...)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			groups = append(groups, &group{members: append([]int32(nil), unit...)})
+		}
+	}
+	// Units joined a group in first-occurrence order and stay contiguous
+	// inside it, so lower-level groups remain adjacent in the sequence
+	// (the bottom-up traversal property); members are never sorted, which
+	// would tear units apart. Groups were created in the first-occurrence
+	// order of their first unit, so this stable sort of the groups leaves
+	// them in place; it states the order rather than producing it.
+	out := Partition{W: w, Groups: make([][]int32, len(groups))}
+	for i, g := range groups {
+		out.Groups[i] = g.members
+	}
+	sort.SliceStable(out.Groups, func(a, b int) bool {
+		return firstOcc[out.Groups[a][0]] < firstOcc[out.Groups[b][0]]
+	})
+	return out
+}
+
+// unitCompatible reports whether every cross pair between unit and
+// members is affine at window w: the pair's minimal affine window is
+// recorded (non-zero) and at most w.
+func unitCompatible(unit, members []int32, minW *flathash.Sum64, w int64) bool {
+	for _, a := range unit {
+		for _, b := range members {
+			mw := minW.Get(pairKey(a, b))
+			if mw == 0 || mw > w {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -131,9 +131,9 @@ func (t *Sum64) Get(key int64) int64 {
 }
 
 // ForEach visits every (key, value) pair in unspecified order. The
-// callers' downstream steps (edge sorting, heap ordered by a total
-// order) are insertion-order independent, matching the Go map iteration
-// this replaces.
+// callers' downstream steps (edge sorting, per-symbol indexes) are
+// insertion-order independent, matching the Go map iteration this
+// replaces.
 func (t *Sum64) ForEach(f func(key int64, val int64)) {
 	for i := range t.entries {
 		if t.entries[i].key != 0 {
@@ -142,12 +142,30 @@ func (t *Sum64) ForEach(f func(key int64, val int64)) {
 	}
 }
 
-func (t *Sum64) grow() {
-	old := t.entries
-	n := 2 * len(old)
-	if n < minCapacity {
-		n = minCapacity
+// MergeFrom adds every value of src into t, as Add would key by key.
+// It first grows t to at least src's capacity. Without that, merging a
+// large table into a small or empty one is quadratic: src's slots hold
+// its keys in nearly ascending hash order, a smaller t maps them to
+// ascending home slots, and linear probing piles them into one run that
+// every later insert walks to its end. With t at least as large as src,
+// the keys arrive spread over at least as many home slots as src holds
+// them in, so t builds no probe run longer than src's own.
+func (t *Sum64) MergeFrom(src *Sum64) {
+	if len(t.entries) < len(src.entries) {
+		t.rehash(len(src.entries))
 	}
+	for i := range src.entries {
+		if e := src.entries[i]; e.key != 0 {
+			t.Add(e.key, e.val)
+		}
+	}
+}
+
+func (t *Sum64) grow() { t.rehash(max(2*len(t.entries), minCapacity)) }
+
+// rehash moves the entries into a table of n slots (a power of two).
+func (t *Sum64) rehash(n int) {
+	old := t.entries
 	t.entries = make([]sumEntry, n)
 	t.shift = shiftFor(n)
 	mask := n - 1
@@ -276,8 +294,13 @@ func (t *Slab32) ForEach(f func(key int64, counts []uint32)) {
 
 // MergeFrom adds src's counters into t slab-to-slab: for every key in
 // src, the counter blocks add elementwise. Addition commutes, so merging
-// shards in any order yields identical tables. Strides must match.
+// shards in any order yields identical tables. Strides must match. Like
+// Sum64.MergeFrom, it first grows t to at least src's capacity, so
+// slot-order insertion cannot build one long probe run.
 func (t *Slab32) MergeFrom(src *Slab32) {
+	if len(t.entries) < len(src.entries) {
+		t.rehash(len(src.entries))
+	}
 	for i := range src.entries {
 		if src.entries[i].key == 0 {
 			continue
@@ -292,12 +315,12 @@ func (t *Slab32) MergeFrom(src *Slab32) {
 	}
 }
 
-func (t *Slab32) grow() {
+func (t *Slab32) grow() { t.rehash(max(2*len(t.entries), minCapacity)) }
+
+// rehash moves the entries into a table of n slots (a power of two); the
+// counter slab stays where it is.
+func (t *Slab32) rehash(n int) {
 	old := t.entries
-	n := 2 * len(old)
-	if n < minCapacity {
-		n = minCapacity
-	}
 	t.entries = make([]slabEntry, n)
 	t.shift = shiftFor(n)
 	mask := n - 1

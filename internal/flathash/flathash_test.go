@@ -159,3 +159,125 @@ func TestSlab32SteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state fill allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// maxProbe returns the longest distance, in slots, between a key's home
+// slot and the slot holding it: the worst probe sequence a lookup walks.
+func maxProbe(keys []int64, shift uint) int {
+	longest, mask := 0, len(keys)-1
+	for i, k := range keys {
+		if k != 0 {
+			longest = max(longest, (i-hash(k, shift))&mask)
+		}
+	}
+	return longest
+}
+
+func (t *Sum64) maxProbe() int {
+	keys := make([]int64, len(t.entries))
+	for i, e := range t.entries {
+		keys[i] = e.key
+	}
+	return maxProbe(keys, t.shift)
+}
+
+func (t *Slab32) maxProbe() int {
+	keys := make([]int64, len(t.entries))
+	for i, e := range t.entries {
+		keys[i] = e.key
+	}
+	return maxProbe(keys, t.shift)
+}
+
+// mergeKeys is the clustering fixture: 200k distinct pair keys, the size
+// of a basic-block TRG shard graph, all hashing into the lower half of
+// the hash range.
+//
+// A table's slots hold its keys in nearly ascending hash order, so a
+// slot-order merge inserts them in ascending order of their home slots.
+// Into a table with fewer slots than the source, that order lands more
+// keys on a span of home slots than the span has slots, and linear
+// probing packs them into one run that every later insert walks to its
+// end. With keys spread over the whole hash range the run is transient:
+// the destination's next grow rehashes it away, leaving only the time it
+// cost. Confining the keys to half the range keeps the run past the end
+// of the merge, where the probe check can see it.
+func mergeKeys() []int64 {
+	rng := rand.New(rand.NewSource(11))
+	seen := make(map[int64]bool)
+	var keys []int64
+	for len(keys) < 200_000 {
+		a, b := int32(rng.Intn(4000)), int32(rng.Intn(4000))
+		k := pairKey(a, b)
+		if a != b && hash(k, 0) >= 0 && !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// mergeProbeBound caps the longest probe run a merge may build. The
+// source tables below, filled key by key to a 0.76 load on their half of
+// the slots, keep theirs under it.
+const mergeProbeBound = 256
+
+// TestMergeFromKeepsProbesShort is the clustering regression test: a
+// 200k-key table merged slot by slot into an empty table must give every
+// key the value per-key Add gives it, and must build no probe run longer
+// than mergeProbeBound. Each source is sized to twice its key count, as
+// a recycled arena table is after Reset.
+func TestMergeFromKeepsProbesShort(t *testing.T) {
+	keys := mergeKeys()
+	t.Run("Sum64", func(t *testing.T) {
+		var src Sum64
+		src.rehash(1 << 19)
+		for i, k := range keys {
+			src.Add(k, int64(i+1))
+		}
+		var dst Sum64
+		dst.MergeFrom(&src)
+		if got := dst.maxProbe(); got > mergeProbeBound {
+			t.Fatalf("longest probe after merge = %d slots, want <= %d", got, mergeProbeBound)
+		}
+		dst.MergeFrom(&src) // into a non-empty table: values double
+		if dst.Len() != len(keys) {
+			t.Fatalf("Len = %d, want %d", dst.Len(), len(keys))
+		}
+		for i, k := range keys {
+			if got, want := dst.Get(k), 2*int64(i+1); got != want {
+				t.Fatalf("Get(%d) = %d, want %d", k, got, want)
+			}
+		}
+	})
+	t.Run("Slab32", func(t *testing.T) {
+		const stride = 3
+		var src Slab32
+		src.Init(stride)
+		src.rehash(1 << 19)
+		for i, k := range keys {
+			src.Counters(k)[i%stride] += uint32(i + 1)
+		}
+		var dst Slab32
+		dst.Init(stride)
+		dst.MergeFrom(&src)
+		if got := dst.maxProbe(); got > mergeProbeBound {
+			t.Fatalf("longest probe after merge = %d slots, want <= %d", got, mergeProbeBound)
+		}
+		dst.MergeFrom(&src)
+		if dst.Len() != len(keys) {
+			t.Fatalf("Len = %d, want %d", dst.Len(), len(keys))
+		}
+		for i, k := range keys {
+			got := dst.Lookup(k)
+			for d := range got {
+				want := uint32(0)
+				if d == i%stride {
+					want = 2 * uint32(i+1)
+				}
+				if got[d] != want {
+					t.Fatalf("Lookup(%d)[%d] = %d, want %d", k, d, got[d], want)
+				}
+			}
+		}
+	})
+}

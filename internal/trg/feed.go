@@ -216,9 +216,7 @@ func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 		for _, s := range st.g.nodes {
 			g.AddNode(s)
 		}
-		st.g.weights.ForEach(func(key int64, w int64) {
-			g.weights.Add(key, w)
-		})
+		g.weights.MergeFrom(&st.g.weights)
 	}
 	f.release()
 	return g, nil

@@ -1,8 +1,6 @@
 package trg
 
-import (
-	"container/heap"
-)
+import "slices"
 
 // Reduce runs the paper's TRG reduction (Algorithm 2) with K code slots
 // and returns the new code sequence.
@@ -19,230 +17,308 @@ import (
 //
 // Nodes that never gain an edge are appended after the reduction output
 // in the graph's node order, keeping the result a permutation of all
-// nodes.
+// nodes. Edge weights are conflict counts and must be positive, as in
+// every graph Build and Feeder produce.
+//
+// Edges are taken in order of weight, heaviest first, ties broken by the
+// smaller packed symbol pair. The only ties in that order are an edge
+// and its reverse orientation, pushed when one endpoint had already been
+// placed; both act on the one unplaced endpoint, so the sequence does
+// not depend on which is taken first. A merge that changes an edge's
+// weight queues the edge again, heavier, so the refreshed entry is taken
+// first and places the unplaced endpoint: an entry whose weight is out
+// of date finds both endpoints placed and needs no staleness test.
+// DESIGN.md §9 gives the state this runs on.
 func Reduce(g *Graph, k int) []int32 {
 	if k < 1 {
 		k = 1
 	}
-	r := &reducer{
-		g:       g,
-		k:       k,
-		parent:  make(map[int32]int32),
-		adj:     make(map[int32]map[int32]int64),
-		slots:   make([][]int32, k),
-		slotRep: make([]int32, k),
-		slotOf:  make(map[int32]int),
-	}
-	for _, n := range g.nodes {
-		r.parent[n] = n
-	}
-	pq := &edgeHeap{}
-	g.forEachEdge(func(a, b int32, w int64) {
-		r.addAdj(a, b, w)
-		heap.Push(pq, heapEdge{w: w, a: a, b: b})
-	})
-
-	for pq.Len() > 0 {
-		e := heap.Pop(pq).(heapEdge)
-		a, b := r.find(e.a), r.find(e.b)
-		if a == b {
-			continue // merged since the entry was pushed
-		}
-		// Skip stale entries whose weight no longer matches the live edge.
-		if r.adj[a][b] != e.w {
-			continue
-		}
-		_, aPlaced := r.slotOf[a]
-		_, bPlaced := r.slotOf[b]
-		if aPlaced && bPlaced {
-			continue
-		}
-		if !aPlaced {
-			r.place(a, pq)
-		}
-		if !bPlaced {
-			// a's placement may have merged b away; re-resolve.
-			b = r.find(e.b)
-			if _, ok := r.slotOf[b]; !ok {
-				r.place(b, pq)
-			}
-		}
-	}
-
-	out := make([]int32, 0, len(g.nodes))
-	emitted := make(map[int32]bool, len(g.nodes))
-	// Round-robin sweep over slot lists.
-	heads := make([]int, k)
-	for {
-		any := false
-		for s := 0; s < k; s++ {
-			if heads[s] < len(r.slots[s]) {
-				sym := r.slots[s][heads[s]]
-				heads[s]++
-				out = append(out, sym)
-				emitted[sym] = true
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	// Isolated nodes (never placed) follow in first-occurrence order.
-	for _, n := range g.nodes {
-		if !emitted[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-type reducer struct {
-	g      *Graph
-	k      int
-	parent map[int32]int32
-	// adj holds live edge weights between node representatives.
-	adj map[int32]map[int32]int64
-	// slots[i] is the linked list of code blocks assigned to slot i, in
-	// arrival order. slotRep[i] is the representative of the slot's
-	// merged TRG node (only meaningful for non-empty slots).
-	slots   [][]int32
-	slotRep []int32
-	slotOf  map[int32]int // representative -> slot index
-}
-
-func (r *reducer) find(x int32) int32 {
-	for r.parent[x] != x {
-		r.parent[x] = r.parent[r.parent[x]]
-		x = r.parent[x]
-	}
-	return x
-}
-
-func (r *reducer) addAdj(a, b int32, w int64) {
-	if r.adj[a] == nil {
-		r.adj[a] = make(map[int32]int64)
-	}
-	if r.adj[b] == nil {
-		r.adj[b] = make(map[int32]int64)
-	}
-	r.adj[a][b] += w
-	r.adj[b][a] += w
-}
-
-func (r *reducer) removeEdge(a, b int32) {
-	if m := r.adj[a]; m != nil {
-		delete(m, b)
-	}
-	if m := r.adj[b]; m != nil {
-		delete(m, a)
-	}
-}
-
-// place assigns the unplaced node rep to a slot per steps 4-22 of
-// Algorithm 2.
-func (r *reducer) place(node int32, pq *edgeHeap) {
-	slot := -1
-	conflicts := int64(-1) // -1 encodes the algorithm's initial ∞
-	for s := 0; s < r.k; s++ {
-		if len(r.slots[s]) == 0 {
-			slot = s
-			conflicts = -2 // marks "empty slot chosen"
-			break
-		}
-		w, ok := r.adj[node][r.slotRep[s]]
+	r := newReducer(g, k)
+	for r.placed < r.linked {
+		e, ok := r.pop()
 		if !ok {
-			// No recorded conflicts with this slot's node: Algorithm 2
-			// compares the edge weight, and an absent edge weighs 0.
-			w = 0
+			break
 		}
-		if conflicts == -1 || w < conflicts {
-			slot = s
-			conflicts = w
+		if r.slotOf[e.a] < 0 {
+			r.place(e.a)
+		}
+		if r.slotOf[e.b] < 0 {
+			r.place(e.b)
 		}
 	}
-	r.slots[slot] = append(r.slots[slot], node)
-	if conflicts == -2 {
-		// First occupant: the node becomes the slot's TRG node. Steps
-		// 19-21 still apply: its edges to the other slots' nodes are
-		// dropped (the nodes now sit in different cache slots, so they
-		// no longer conflict).
-		r.slotRep[slot] = node
-		r.slotOf[node] = slot
-		for s := 0; s < r.k; s++ {
-			if s != slot && len(r.slots[s]) > 0 {
-				r.removeEdge(node, r.slotRep[s])
-			}
-		}
-		return
-	}
-	// Combine node into the slot's TRG node (step 18).
-	rep := r.slotRep[slot]
-	merged := r.merge(rep, node, pq)
-	r.slotRep[slot] = merged
-	delete(r.slotOf, rep)
-	r.slotOf[merged] = slot
-	// Steps 19-21: remove edges between the merged node and the other
-	// slots' nodes.
-	for s := 0; s < r.k; s++ {
-		if s == slot || len(r.slots[s]) == 0 {
-			continue
-		}
-		r.removeEdge(merged, r.slotRep[s])
-	}
+	return r.emit()
 }
 
-// merge unions node b into node a in the graph, combining edges, and
-// pushes refreshed heap entries for every changed edge.
-func (r *reducer) merge(a, b int32, pq *edgeHeap) int32 {
-	// Union by adjacency degree: relabel the smaller side.
-	if len(r.adj[a]) < len(r.adj[b]) {
-		a, b = b, a
-	}
-	r.parent[b] = a
-	for nb, w := range r.adj[b] {
-		if nb == a {
-			continue
-		}
-		delete(r.adj[nb], b)
-		if r.adj[a] == nil {
-			r.adj[a] = make(map[int32]int64)
-		}
-		r.adj[a][nb] += w
-		if r.adj[nb] == nil {
-			r.adj[nb] = make(map[int32]int64)
-		}
-		r.adj[nb][a] += w
-		heap.Push(pq, heapEdge{w: r.adj[a][nb], a: a, b: nb})
-	}
-	delete(r.adj[a], b)
-	delete(r.adj, b)
-	return a
+// reducer is the reduction's state, indexed densely by node (the
+// position of a symbol in Graph.nodes) and by slot.
+//
+// An edge between two unplaced nodes is never changed by the reduction,
+// so it is read from the static CSR adjacency. Every placed node belongs
+// to a slot, and the only other live edges join a slot's merged node to
+// an unplaced node: *cell(u, s) is that weight for node u and slot s, 0
+// when there is no edge. There are no live edges between slots (steps
+// 19-21 remove them as soon as they form).
+type reducer struct {
+	sym   []int32 // node -> symbol
+	slots int     // the slots that can ever fill: min(k, nodes)
+
+	// off/nbr/nw is the graph's adjacency in CSR form: node u's
+	// neighbours are nbr[off[u]:off[u+1]] with weights nw.
+	off []int32
+	nbr []int32
+	nw  []int64
+
+	w      []int64 // nodes × slots
+	slotOf []int32 // node -> its slot, -1 while unplaced
+
+	// Node degrees as the reference's adjacency maps count them, which
+	// decide which side of a merge keeps its ID: an unplaced node u has
+	// free[u] unplaced neighbours plus slotDeg[u] slots it has an edge
+	// to, and slot s has size[s] unplaced neighbours.
+	free    []int32
+	slotDeg []int32
+	size    []int32
+
+	// rep[s] is the node whose ID slot s's merged node carries, members[s]
+	// the slot's code blocks in arrival order, and near[s] its unplaced
+	// neighbours (placed ones are pruned lazily).
+	rep     []int32
+	members [][]int32
+	near    [][]int32
+	used    int
+
+	// The edge stream: the graph's edges sorted once, merged with a heap
+	// of the entries merges refresh.
+	sorted []entry
+	next   int
+	heap   []entry
+
+	placed, linked int // nodes placed; nodes with at least one edge
 }
 
-// heapEdge orders edges by descending weight; ties break toward smaller
-// node IDs for determinism.
-type heapEdge struct {
+// entry is one edge of the stream. a and b are nodes; key packs their
+// symbols and breaks weight ties.
+type entry struct {
 	w    int64
+	key  int64
 	a, b int32
 }
 
-type edgeHeap []heapEdge
-
-func (h edgeHeap) Len() int { return len(h) }
-func (h edgeHeap) Less(i, j int) bool {
-	if h[i].w != h[j].w {
-		return h[i].w > h[j].w
-	}
-	ka, kb := pairKey(h[i].a, h[i].b), pairKey(h[j].a, h[j].b)
-	return ka < kb
+// before is the stream order: heavier first, then the smaller key.
+func before(x, y entry) bool {
+	return x.w > y.w || x.w == y.w && x.key < y.key
 }
-func (h edgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *edgeHeap) Push(x interface{}) { *h = append(*h, x.(heapEdge)) }
-func (h *edgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func newReducer(g *Graph, k int) *reducer {
+	n := len(g.nodes)
+	slots := min(k, n)
+	r := &reducer{
+		sym:     g.nodes,
+		slots:   slots,
+		off:     make([]int32, n+1),
+		slotOf:  make([]int32, n),
+		free:    make([]int32, n),
+		slotDeg: make([]int32, n),
+		size:    make([]int32, slots),
+		rep:     make([]int32, slots),
+		members: make([][]int32, slots),
+		near:    make([][]int32, slots),
+	}
+	node := make([]int32, len(g.seen))
+	for i, s := range g.nodes {
+		node[s] = int32(i)
+		r.slotOf[i] = -1
+	}
+	r.sorted = make([]entry, 0, g.weights.Len())
+	g.forEachEdge(func(a, b int32, w int64) {
+		e := entry{w: w, key: pairKey(a, b), a: node[a], b: node[b]}
+		r.sorted = append(r.sorted, e)
+		r.free[e.a]++
+		r.free[e.b]++
+	})
+	for u, d := range r.free {
+		r.off[u+1] = r.off[u] + d
+		if d > 0 {
+			r.linked++
+		}
+	}
+	r.nbr = make([]int32, 2*len(r.sorted))
+	r.nw = make([]int64, 2*len(r.sorted))
+	fill := slices.Clone(r.off[:n])
+	for _, e := range r.sorted {
+		r.nbr[fill[e.a]], r.nw[fill[e.a]] = e.b, e.w
+		fill[e.a]++
+		r.nbr[fill[e.b]], r.nw[fill[e.b]] = e.a, e.w
+		fill[e.b]++
+	}
+	slices.SortFunc(r.sorted, func(x, y entry) int {
+		if before(x, y) {
+			return -1
+		}
+		if before(y, x) {
+			return 1
+		}
+		return 0
+	})
+	r.w = make([]int64, n*slots)
+	return r
+}
+
+// cell returns the weight of the edge between node u and slot s's node.
+func (r *reducer) cell(u int32, s int) *int64 {
+	return &r.w[int(u)*r.slots+s]
+}
+
+// pop returns the next edge of the stream.
+func (r *reducer) pop() (entry, bool) {
+	if len(r.heap) > 0 && (r.next == len(r.sorted) || before(r.heap[0], r.sorted[r.next])) {
+		return r.popHeap(), true
+	}
+	if r.next < len(r.sorted) {
+		r.next++
+		return r.sorted[r.next-1], true
+	}
+	return entry{}, false
+}
+
+// place assigns the unplaced node u to a slot per steps 4-22 of
+// Algorithm 2.
+func (r *reducer) place(u int32) {
+	col := r.w[int(u)*r.slots:][:r.slots]
+	if r.used < r.slots {
+		// First occupant of the first empty slot: u becomes the slot's
+		// node, keeping its edges to unplaced nodes and losing those to
+		// the other slots.
+		s := r.used
+		r.used++
+		r.rep[s] = u
+		r.settle(u, s, col)
+		for i := r.off[u]; i < r.off[u+1]; i++ {
+			r.join(s, r.nbr[i], r.nw[i])
+		}
+		return
+	}
+	s := 0
+	for c := 1; c < r.slots; c++ {
+		if col[c] < col[s] {
+			s = c
+		}
+	}
+	// Step 18 combines u with the slot's node. As in the reference's
+	// union by degree, the side with more neighbours (the slot's on a
+	// tie) keeps its ID, and only the other side's edges get refreshed
+	// stream entries.
+	keep := r.size[s] >= r.free[u]+r.slotDeg[u]
+	rep := r.rep[s]
+	seen := len(r.near[s])
+	r.settle(u, s, col)
+	for i := r.off[u]; i < r.off[u+1]; i++ {
+		v := r.nbr[i]
+		if r.join(s, v, r.nw[i]) && keep {
+			r.push(s, rep, v)
+		}
+	}
+	if keep {
+		return
+	}
+	r.rep[s] = u
+	live := r.near[s][:0]
+	for i, v := range r.near[s] {
+		if r.slotOf[v] >= 0 {
+			continue
+		}
+		if i < seen {
+			r.push(s, u, v)
+		}
+		live = append(live, v)
+	}
+	r.near[s] = live
+}
+
+// settle records u as placed in slot s and drops its edges to every
+// slot; col is u's row of w.
+func (r *reducer) settle(u int32, s int, col []int64) {
+	r.slotOf[u] = int32(s)
+	r.members[s] = append(r.members[s], r.sym[u])
+	r.placed++
+	for c := 0; c < r.used; c++ {
+		if col[c] != 0 {
+			r.size[c]--
+		}
+	}
+}
+
+// join adds weight w of an edge from a node just placed in slot s to v,
+// reporting whether v is unplaced (and so gained or grew an edge).
+func (r *reducer) join(s int, v int32, w int64) bool {
+	if r.slotOf[v] >= 0 {
+		return false
+	}
+	p := r.cell(v, s)
+	if *p == 0 {
+		r.near[s] = append(r.near[s], v)
+		r.size[s]++
+		r.slotDeg[v]++
+	}
+	*p += w
+	r.free[v]--
+	return true
+}
+
+// push queues the refreshed edge between slot s's node, carrying the ID
+// of node a, and unplaced node v.
+func (r *reducer) push(s int, a, v int32) {
+	r.heap = append(r.heap, entry{w: *r.cell(v, s), key: pairKey(r.sym[a], r.sym[v]), a: a, b: v})
+	h := r.heap
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (r *reducer) popHeap() entry {
+	h := r.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	r.heap = h
+	return top
+}
+
+// emit sweeps the slot lists round-robin (steps 25-29), then appends the
+// nodes never placed in graph order.
+func (r *reducer) emit() []int32 {
+	out := make([]int32, 0, len(r.sym))
+	for depth := 0; len(out) < r.placed; depth++ {
+		for s := 0; s < r.used; s++ {
+			if depth < len(r.members[s]) {
+				out = append(out, r.members[s][depth])
+			}
+		}
+	}
+	for u, s := range r.slotOf {
+		if s < 0 {
+			out = append(out, r.sym[u])
+		}
+	}
+	return out
 }

@@ -111,8 +111,8 @@ func (g *Graph) NumEdges() int {
 }
 
 // forEachEdge visits every non-zero edge in unspecified order. Downstream
-// consumers (Edges sorts; Reduce feeds a heap with a total order) do not
-// depend on visit order.
+// consumers (Edges and Reduce both sort by a total order) do not depend
+// on visit order.
 func (g *Graph) forEachEdge(f func(a, b int32, w int64)) {
 	g.weights.ForEach(func(key int64, w int64) {
 		if w != 0 {
@@ -314,9 +314,7 @@ func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, ar
 		for _, s := range st.g.nodes {
 			g.AddNode(s)
 		}
-		st.g.weights.ForEach(func(key int64, w int64) {
-			g.weights.Add(key, w)
-		})
+		g.weights.MergeFrom(&st.g.weights)
 		arena.putShard(st)
 	}
 	return g, nil

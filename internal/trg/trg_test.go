@@ -243,16 +243,3 @@ func BenchmarkBuild(b *testing.B) {
 		Build(tr, 128)
 	}
 }
-
-func BenchmarkReduce(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	syms := make([]int32, 100000)
-	for i := range syms {
-		syms[i] = int32(rng.Intn(300))
-	}
-	g := Build(trace.New(syms), 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Reduce(g, 128)
-	}
-}

@@ -12,7 +12,11 @@
 #
 #   bench_json.sh check out.json <benchmark> <max-allocs>
 #       Exit non-zero if <benchmark>'s allocs_per_op in out.json exceeds
-#       <max-allocs>. This is the CI allocation-regression gate.
+#       <max-allocs>.
+#
+#   bench_json.sh gate out.json
+#       Run check for every gate in scripts/bench_gates.txt, the one
+#       allocation-gate table, and exit non-zero if any fails.
 #
 # Plain shell + awk on `go test -bench` output: no external dependencies.
 set -eu
@@ -21,14 +25,15 @@ OUT_DEFAULT=BENCH_PR10.json
 BENCHTIME=${BENCHTIME:-3x}
 
 # The kernel benchmarks the harness tracks, one per analysis subsystem
-# plus the end-to-end worker sweeps in the root package, the
+# (the TRG reduction on a basic-block-scale graph among them) plus the
+# end-to-end worker sweeps in the root package, the
 # observability hot paths (span start/end, counter, histogram), which
 # ride on every instrumented kernel and must stay allocation-free, and
 # the anti-entropy digest-set diff, which runs every sweep on every node
 # and must reuse its caller's buffer, the traceparent parse/format pair,
 # which runs on every inbound request and every peer hop, and the
 # runtime-telemetry sampler tick, which fires for the process lifetime.
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
 PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/cluster'
 
 run() {
@@ -98,6 +103,18 @@ check() {
                         bench, FILENAME > "/dev/stderr"; exit 2 } }' "$file"
 }
 
+gate() {
+    file=$1 failed=0
+    gates=$(dirname "$0")/bench_gates.txt
+    # Blank lines and # comments are skipped.
+    while read -r bench maxallocs; do
+        case "$bench" in ''|'#'*) continue ;; esac
+        check "$file" "$bench" "$maxallocs" || failed=1
+    done < "$gates"
+    return "$failed"
+}
+
+usage="usage: bench_json.sh [run [out.json] | check out.json <benchmark> <max-allocs> | gate out.json]"
 cmd=${1:-run}
 case "$cmd" in
 run)
@@ -105,12 +122,16 @@ run)
     run "$@"
     ;;
 check)
-    [ $# -eq 4 ] || { echo "usage: bench_json.sh check out.json <benchmark> <max-allocs>" >&2; exit 2; }
+    [ $# -eq 4 ] || { echo "$usage" >&2; exit 2; }
     shift
     check "$@"
     ;;
+gate)
+    [ $# -eq 2 ] || { echo "$usage" >&2; exit 2; }
+    gate "$2"
+    ;;
 *)
-    echo "usage: bench_json.sh [run [out.json] | check out.json <benchmark> <max-allocs>]" >&2
+    echo "$usage" >&2
     exit 2
     ;;
 esac
