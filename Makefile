@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-json bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs ci
+.PHONY: all build vet fmt fmt-check test race race-stress bench bench-smoke bench-json bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs ci
 
 all: build
 
@@ -24,6 +24,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Race stress: the job-lifecycle, cache and ring tests — including
+# TestCancelQueuedJob and TestJobTraceTimeline, which used to flake
+# under load — repeated under the race detector.
+RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestRing.*)$$
+race-stress:
+	$(GO) test -race -count=20 -run '$(RACE_STRESS)' ./internal/server ./internal/obs
 
 # Full benchmark run (slow: regenerates every table and figure).
 bench:
@@ -99,4 +106,4 @@ smoke-chaos:
 smoke-obs:
 	sh scripts/smoke_obs.sh
 
-ci: build vet fmt-check test race bench-smoke bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs
+ci: build vet fmt-check test race race-stress bench-smoke bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs

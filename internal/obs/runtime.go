@@ -13,7 +13,7 @@ import (
 // GET /v1/debug/runtime. The sample buffers are allocated once and
 // reused, so a tick costs a fixed, small number of allocations
 // (runtime/metrics reuses histogram buckets across reads) — gated in
-// BENCH_PR10.json.
+// scripts/bench_gates.txt.
 
 // DefaultRuntimeSampleInterval is the tick period when the configured
 // interval is zero.
@@ -61,9 +61,7 @@ type RuntimeSampler struct {
 
 	mu   sync.Mutex
 	last RuntimeSample
-	ring []RuntimeSample
-	next int
-	n    int
+	ring *Ring[RuntimeSample]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -71,7 +69,7 @@ type RuntimeSampler struct {
 }
 
 // NewRuntimeSampler builds a sampler with the given tick interval
-// (0 means DefaultRuntimeSampleInterval) and ring capacity (0 means
+// (<= 0 means DefaultRuntimeSampleInterval) and ring capacity (<= 0 means
 // DefaultRuntimeRing). It does not start the ticker.
 func NewRuntimeSampler(interval time.Duration, ringSize int) *RuntimeSampler {
 	if interval <= 0 {
@@ -83,7 +81,7 @@ func NewRuntimeSampler(interval time.Duration, ringSize int) *RuntimeSampler {
 	s := &RuntimeSampler{
 		interval: interval,
 		buf:      make([]metrics.Sample, numRuntimeSamples),
-		ring:     make([]RuntimeSample, ringSize),
+		ring:     NewRing[RuntimeSample](ringSize),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -138,11 +136,7 @@ func (s *RuntimeSampler) Sample() {
 	}
 	s.mu.Lock()
 	s.last = sm
-	s.ring[s.next] = sm
-	s.next = (s.next + 1) % len(s.ring)
-	if s.n < len(s.ring) {
-		s.n++
-	}
+	s.ring.Push(sm)
 	s.mu.Unlock()
 }
 
@@ -154,16 +148,7 @@ func (s *RuntimeSampler) Last() RuntimeSample {
 }
 
 // Snapshot returns the retained samples, newest first.
-func (s *RuntimeSampler) Snapshot() []RuntimeSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]RuntimeSample, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		idx := (s.next - 1 - i + len(s.ring)) % len(s.ring)
-		out = append(out, s.ring[idx])
-	}
-	return out
-}
+func (s *RuntimeSampler) Snapshot() []RuntimeSample { return s.ring.Snapshot() }
 
 // histP99NS estimates the 99th percentile of a runtime/metrics duration
 // histogram in nanoseconds, taking each crossed bucket's upper bound.

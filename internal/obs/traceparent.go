@@ -11,7 +11,7 @@ package obs
 //	  00    -  32 hex    -   16 hex    -   2 hex
 //
 // Both ParseTraceparent and AppendTraceparent are allocation-free on
-// the hot path (gated in BENCH_PR10.json): the parser returns
+// the hot path (gated in scripts/bench_gates.txt): the parser returns
 // substrings of its input, and the formatter appends into the caller's
 // buffer. Legacy compatibility: trace IDs minted before the W3C
 // widening were 16 hex chars; the parser accepts a 16-hex trace-id

@@ -24,11 +24,6 @@ import (
 // carry digests and parameters, never trace payloads.
 const maxJSONBody = 1 << 20
 
-// pairStoreKey prefixes co-run pair documents in the durable store
-// (trace blobs use "t-", schedule documents "s-"); result digests are
-// bare hex, so prefixed keys cannot collide with them.
-const pairStoreKey = "p-"
-
 // corunRequest is the decoded body of POST /v1/corun: two cached layout
 // digests plus an optional cache geometry (default: the paper's 32 KB
 // 4-way L1I). Self-pairing (a == b) is allowed — two instances of the
@@ -193,68 +188,6 @@ func corunDigest(dA, dB string, cfg cachesim.Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// docCache is a two-tier content-addressed cache for JSON analysis
-// documents (pair and schedule results), following resultCache's shape:
-// synchronous memory tier, write-behind durable tier, disk fallback on
-// memory miss.
-type docCache[T any] struct {
-	mu     sync.RWMutex
-	docs   map[string]*T
-	disk   blobStore // nil: memory-only
-	prefix string
-}
-
-func newDocCache[T any](disk blobStore, prefix string) *docCache[T] {
-	return &docCache[T]{docs: make(map[string]*T), disk: disk, prefix: prefix}
-}
-
-func (c *docCache[T]) get(ctx context.Context, key string) (*T, bool) {
-	c.mu.RLock()
-	d, ok := c.docs[key]
-	c.mu.RUnlock()
-	if ok || c.disk == nil {
-		return d, ok
-	}
-	sp := obs.StartSpan(ctx, "store.read")
-	data, ok := c.disk.Get(c.prefix + key)
-	sp.SetAttr("bytes", int64(len(data)))
-	sp.End()
-	if !ok {
-		return nil, false
-	}
-	var doc T
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.docs[key] = &doc
-	c.mu.Unlock()
-	return &doc, true
-}
-
-func (c *docCache[T]) put(ctx context.Context, key string, doc *T) {
-	c.mu.Lock()
-	c.docs[key] = doc
-	c.mu.Unlock()
-	if c.disk == nil {
-		return
-	}
-	sp := obs.StartSpan(ctx, "store.write")
-	if data, err := json.Marshal(doc); err == nil {
-		sp.SetAttr("bytes", int64(len(data)))
-		c.disk.Put(c.prefix+key, data)
-	}
-	sp.End()
-}
-
-// drop purges the memory tier's copy of a key (the admin DELETE path;
-// the disk blob is removed separately).
-func (c *docCache[T]) drop(key string) {
-	c.mu.Lock()
-	delete(c.docs, key)
-	c.mu.Unlock()
-}
-
 // resolveEntry materializes one cached digest for co-run analysis:
 // result lookup, trace retrieval, program regeneration, and layout
 // rebuild from the recorded sequence. The int is the HTTP status a
@@ -360,10 +293,9 @@ func (s *Server) handleCorun(w http.ResponseWriter, r *http.Request) {
 	if doc, ok := s.pairs.get(ctx, key); ok {
 		s.metrics.pairHits.Inc()
 		j.cached = true
-		j.completeCorun(doc)
+		s.finish(j, StatusDone, doc, nil)
 		s.storeJob(j)
 		s.metrics.accepted.Inc()
-		s.finish(j)
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
@@ -403,9 +335,7 @@ func (s *Server) runCorunJob(poolCtx context.Context, j *Job, req *corunJobReque
 	}
 	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.pairs.put(ctx, doc.Digest, doc)
-	j.completeCorun(doc)
-	s.metrics.completed.Inc()
-	s.finish(j)
+	s.finish(j, StatusDone, doc, nil)
 }
 
 // computePair runs the six co-run simulations behind a pair document —

@@ -1,14 +1,14 @@
 package server
 
-import "sync"
-
 // DefaultDebugJobRing bounds the recent-job summaries kept for
-// GET /v1/debug/jobs when Config.DebugJobRing is zero.
+// GET /v1/debug/jobs when Config.DebugJobRing is not positive.
 const DefaultDebugJobRing = 64
 
-// jobSummary is one entry in the recent-jobs debug ring: enough to
-// correlate a job with its logs (trace_id) and judge its outcome at a
-// glance, without holding the full result.
+// jobSummary is one entry in the recent-jobs debug ring (an obs.Ring):
+// enough to correlate a job with its logs (trace_id) and judge its
+// outcome at a glance, without holding the full result. Unlike the jobs
+// map (TTL- and count-bounded, holds full results), the ring is a cheap
+// always-on flight recorder of the last N terminal jobs.
 type jobSummary struct {
 	ID        string  `json:"id"`
 	Kind      string  `json:"kind,omitempty"`
@@ -19,44 +19,4 @@ type jobSummary struct {
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Error     string  `json:"error,omitempty"`
-}
-
-// debugRing is a fixed-size ring of job summaries. Unlike the jobs map
-// (TTL- and count-bounded, holds full results), the ring is a cheap
-// always-on flight recorder: the last N terminal jobs, oldest evicted
-// first, never more memory than N summaries.
-type debugRing struct {
-	mu   sync.Mutex
-	buf  []jobSummary
-	next int
-	n    int
-}
-
-func newDebugRing(size int) *debugRing {
-	if size <= 0 {
-		size = DefaultDebugJobRing
-	}
-	return &debugRing{buf: make([]jobSummary, size)}
-}
-
-func (r *debugRing) push(s jobSummary) {
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// snapshot returns the ring contents newest-first.
-func (r *debugRing) snapshot() []jobSummary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]jobSummary, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		idx := (r.next - 1 - i + len(r.buf)) % len(r.buf)
-		out = append(out, r.buf[idx])
-	}
-	return out
 }

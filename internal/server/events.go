@@ -17,7 +17,7 @@ import (
 // it is an always-on flight recorder with a hard memory bound.
 
 // DefaultEventRing bounds the retained events when Config.EventRing
-// is zero.
+// is not positive.
 const DefaultEventRing = 256
 
 // Event kinds. The store-owned kinds (breaker_trip, breaker_recover,
@@ -40,15 +40,15 @@ type clusterEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// eventRing is a fixed-size, mutex-guarded ring of clusterEvents.
-// record is safe from any goroutine, including hook callbacks holding
-// other subsystems' locks — it only touches the ring and a counter.
+// eventRing is the event log: an obs.Ring of clusterEvents numbered by
+// a sequence assigned under the same lock as the push, so newest-first
+// is descending seq. record is safe from any goroutine, including hook
+// callbacks holding other subsystems' locks — it only touches the ring
+// and a counter.
 type eventRing struct {
 	mu      sync.Mutex
-	buf     []clusterEvent
-	next    int
-	n       int
 	seq     int64
+	ring    *obs.Ring[clusterEvent]
 	counter *obs.CounterVec // layoutd_events_total{kind}; set once at wiring
 }
 
@@ -56,18 +56,14 @@ func newEventRing(size int) *eventRing {
 	if size <= 0 {
 		size = DefaultEventRing
 	}
-	return &eventRing{buf: make([]clusterEvent, size)}
+	return &eventRing{ring: obs.NewRing[clusterEvent](size)}
 }
 
 func (r *eventRing) record(kind, node, detail string) {
 	now := time.Now().UnixMilli()
 	r.mu.Lock()
 	r.seq++
-	r.buf[r.next] = clusterEvent{Seq: r.seq, UnixMS: now, Kind: kind, Node: node, Detail: detail}
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.ring.Push(clusterEvent{Seq: r.seq, UnixMS: now, Kind: kind, Node: node, Detail: detail})
 	c := r.counter
 	r.mu.Unlock()
 	if c != nil {
@@ -76,16 +72,7 @@ func (r *eventRing) record(kind, node, detail string) {
 }
 
 // snapshot returns the retained events, newest first.
-func (r *eventRing) snapshot() []clusterEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]clusterEvent, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		idx := (r.next - 1 - i + len(r.buf)) % len(r.buf)
-		out = append(out, r.buf[idx])
-	}
-	return out
-}
+func (r *eventRing) snapshot() []clusterEvent { return r.ring.Snapshot() }
 
 // handleDebugEvents is GET /v1/debug/events: the bounded ring of state
 // transitions, newest first.

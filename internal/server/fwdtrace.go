@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"codelayout/internal/obs"
 )
 
 // Cross-node trace assembly. When a submission enters the cluster
@@ -42,15 +44,14 @@ type forwardSpan struct {
 type forwardLog struct {
 	mu    sync.Mutex
 	byJob map[string][]forwardSpan
-	order []string // insertion order of job IDs, for eviction
-	cap   int
+	order *obs.Ring[string] // job IDs, oldest evicted first
 }
 
 func newForwardLog(capacity int) *forwardLog {
 	if capacity <= 0 {
 		capacity = DefaultForwardLog
 	}
-	return &forwardLog{byJob: make(map[string][]forwardSpan), cap: capacity}
+	return &forwardLog{byJob: make(map[string][]forwardSpan), order: obs.NewRing[string](capacity)}
 }
 
 func (l *forwardLog) record(jobID string, fs forwardSpan) {
@@ -60,12 +61,9 @@ func (l *forwardLog) record(jobID string, fs forwardSpan) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.byJob[jobID]; !ok {
-		for len(l.order) >= l.cap {
-			evict := l.order[0]
-			l.order = l.order[1:]
-			delete(l.byJob, evict)
+		if old, evicted := l.order.Push(jobID); evicted {
+			delete(l.byJob, old)
 		}
-		l.order = append(l.order, jobID)
 	}
 	l.byJob[jobID] = append(l.byJob[jobID], fs)
 }

@@ -35,12 +35,13 @@ type Result struct {
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
-// Job states, in lifecycle order. For optimization jobs, Canceled is
-// reachable only from Queued (via DELETE /v1/jobs/{id}); a running
-// optimization is past the point of no return. Co-run and schedule jobs
-// are additionally cancelable while running: DELETE moves them to
-// Canceling (their context fires), and the worker finalizes to Canceled
-// when the pipeline observes the cancellation.
+// Job states, in lifecycle order. DELETE /v1/jobs/{id} moves a queued
+// job of any kind to Canceling and at once finishes it as Canceled. A
+// running co-run or schedule job also moves to Canceling (its context
+// fires), and its worker finishes it as Canceled when the pipeline
+// observes the cancellation; a running optimization is past the point
+// of no return. Done, Failed and Canceled are terminal: a job never
+// leaves them.
 const (
 	StatusQueued    = "queued"
 	StatusRunning   = "running"
@@ -236,32 +237,14 @@ func (j *Job) tryStart() bool {
 	return true
 }
 
-// cancelQueued moves a queued job to canceled and fires its context.
-// It reports false — without changing anything — when the job already
-// started or finished (the DELETE handler's 409).
-func (j *Job) cancelQueued(now time.Time) bool {
+// startCancel moves the job from the given status (queued, or running
+// for a cancelable kind) to canceling and fires its context. A queued
+// job so claimed is never started by a worker; the caller finishes it.
+// It reports false — without changing anything — when the job is in
+// any other status (the DELETE handler's 409).
+func (j *Job) startCancel(from string) bool {
 	j.mu.Lock()
-	if j.status != StatusQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.status = StatusCanceled
-	j.err = "canceled before running"
-	j.finished = now
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	return true
-}
-
-// cancelRunning moves a running cancelable job to canceling and fires
-// its context; the worker observes the cancellation in its pipeline and
-// finalizes to canceled. It reports false when the job is not running.
-func (j *Job) cancelRunning() bool {
-	j.mu.Lock()
-	if j.status != StatusRunning {
+	if j.status != from {
 		j.mu.Unlock()
 		return false
 	}
@@ -274,16 +257,6 @@ func (j *Job) cancelRunning() bool {
 	return true
 }
 
-// finalizeCanceled completes a canceling job's teardown: the worker
-// calls it after the pipeline unwound from the fired context.
-func (j *Job) finalizeCanceled() {
-	j.mu.Lock()
-	j.status = StatusCanceled
-	j.err = "canceled while running"
-	j.finished = time.Now()
-	j.mu.Unlock()
-}
-
 // statusNow returns the current status string.
 func (j *Job) statusNow() string {
 	j.mu.Lock()
@@ -291,35 +264,28 @@ func (j *Job) statusNow() string {
 	return j.status
 }
 
-func (j *Job) complete(r *Result) {
+// settle publishes a terminal status — done with the job's document, or
+// failed or canceled with err — and fires the job's context to release
+// its resources. A terminal status is never left: settle on a job that
+// already has one changes nothing.
+func (j *Job) settle(status string, doc any, err error, now time.Time) {
 	j.mu.Lock()
-	j.status = StatusDone
-	j.result = r
-	j.finished = time.Now()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel() // release the job context's resources
+	if terminalStatus(j.status) {
+		j.mu.Unlock()
+		return
 	}
-}
-
-func (j *Job) completeCorun(doc *CorunDoc) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.corun = doc
-	j.finished = time.Now()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	j.status, j.finished = status, now
+	switch d := doc.(type) {
+	case *Result:
+		j.result = d
+	case *CorunDoc:
+		j.corun = d
+	case *ScheduleDoc:
+		j.schedule = d
 	}
-}
-
-func (j *Job) completeSchedule(doc *ScheduleDoc) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.schedule = doc
-	j.finished = time.Now()
+	if err != nil {
+		j.err = err.Error()
+	}
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
@@ -327,23 +293,8 @@ func (j *Job) completeSchedule(doc *ScheduleDoc) {
 	}
 }
 
-func (j *Job) fail(err error) {
-	j.mu.Lock()
-	j.status = StatusFailed
-	j.err = err.Error()
-	j.finished = time.Now()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// done reports whether the job reached a terminal state.
-func (j *Job) done() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled
+func terminalStatus(status string) bool {
+	return status == StatusDone || status == StatusFailed || status == StatusCanceled
 }
 
 // terminal returns the completion time of a done, failed, or canceled
@@ -351,8 +302,5 @@ func (j *Job) done() bool {
 func (j *Job) terminal() (fin time.Time, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled {
-		return j.finished, true
-	}
-	return time.Time{}, false
+	return j.finished, terminalStatus(j.status)
 }

@@ -17,9 +17,6 @@ import (
 	"codelayout/internal/schedule"
 )
 
-// scheduleStoreKey prefixes schedule documents in the durable store.
-const scheduleStoreKey = "s-"
-
 // scheduleRequest is the decoded body of POST /v1/schedule: N cached
 // layout digests (repeats allowed — the same workload can occupy several
 // slots) plus the core/socket topology to place them on and an optional
@@ -155,10 +152,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	if doc, ok := s.schedules.get(ctx, jr.key); ok {
 		j.cached = true
-		j.completeSchedule(doc)
+		s.finish(j, StatusDone, doc, nil)
 		s.storeJob(j)
 		s.metrics.accepted.Inc()
-		s.finish(j)
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
@@ -199,9 +195,7 @@ func (s *Server) runScheduleJob(poolCtx context.Context, j *Job, req *scheduleJo
 	}
 	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.schedules.put(ctx, req.key, doc)
-	j.completeSchedule(doc)
-	s.metrics.completed.Inc()
-	s.finish(j)
+	s.finish(j, StatusDone, doc, nil)
 }
 
 func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (*ScheduleDoc, error) {

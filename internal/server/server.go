@@ -182,14 +182,14 @@ const (
 type Server struct {
 	cfg       Config
 	pool      *parallel.Pool
-	cache     *resultCache
-	traces    *traceCache
-	pairs     *docCache[CorunDoc]
-	schedules *docCache[ScheduleDoc]
+	cache     *tieredCache[Result]
+	traces    *tieredCache[trace.Trace]
+	pairs     *tieredCache[CorunDoc]
+	schedules *tieredCache[ScheduleDoc]
 	disk      *store.Store // nil: memory-only
 	metrics   *serverMetrics
 	logger    *slog.Logger
-	ring      *debugRing
+	ring      *obs.Ring[jobSummary]
 	events    *eventRing
 	runtime   *obs.RuntimeSampler
 	fwdlog    *forwardLog
@@ -264,6 +264,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxScheduleDigests <= 0 {
 		cfg.MaxScheduleDigests = DefaultMaxScheduleDigests
 	}
+	if cfg.TraceCacheEntries <= 0 {
+		cfg.TraceCacheEntries = DefaultTraceCacheEntries
+	}
+	if cfg.DebugJobRing <= 0 {
+		cfg.DebugJobRing = DefaultDebugJobRing
+	}
 	// The durable tier the caches see: the raw store when single-node,
 	// or the cluster wrapper — which adds peer fetch-through on local
 	// miss and write-behind replication on every put. A nil *store.Store
@@ -280,15 +286,15 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		pool:      parallel.NewPool(cfg.JobWorkers, cfg.QueueDepth),
-		cache:     newResultCache(blobs),
-		traces:    newTraceCache(cfg.TraceCacheEntries, blobs),
-		pairs:     newDocCache[CorunDoc](blobs, pairStoreKey),
-		schedules: newDocCache[ScheduleDoc](blobs, scheduleStoreKey),
+		cache:     newTieredCache(resultStoreKey, maxCachedDocs, blobs, encodeJSON[Result], decodeResult),
+		traces:    newTieredCache(traceStoreKey, cfg.TraceCacheEntries, blobs, encodeCLTR, decodeCLTR),
+		pairs:     newTieredCache(pairStoreKey, maxCachedDocs, blobs, encodeJSON[CorunDoc], decodeJSON[CorunDoc]),
+		schedules: newTieredCache(scheduleStoreKey, maxCachedDocs, blobs, encodeJSON[ScheduleDoc], decodeJSON[ScheduleDoc]),
 		disk:      cfg.Store,
 		uploads:   cfg.Uploads,
 		cluster:   cfg.Cluster,
 		logger:    cfg.Logger,
-		ring:      newDebugRing(cfg.DebugJobRing),
+		ring:      obs.NewRing[jobSummary](cfg.DebugJobRing),
 		events:    newEventRing(cfg.EventRing),
 		runtime:   obs.NewRuntimeSampler(cfg.RuntimeSampleInterval, cfg.RuntimeRing),
 		fwdlog:    newForwardLog(0),
@@ -446,9 +452,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return err
 }
-
-// CacheLen reports the number of cached layouts (for tests and logs).
-func (s *Server) CacheLen() int { return s.cache.len() }
 
 // StoreState reports the durable tier's breaker state; ok-and-false
 // when the server runs memory-only.
@@ -619,11 +622,10 @@ func (s *Server) finishBufferedSubmit(ctx context.Context, w http.ResponseWriter
 	// params) submission completes instantly from the cache.
 	if res, ok := s.cache.get(ctx, req.digest); ok {
 		j.cached = true
-		j.complete(res)
+		s.metrics.cacheHits.Inc()
+		s.finish(j, StatusDone, res, nil)
 		s.storeJob(j)
 		s.metrics.accepted.Inc()
-		s.metrics.cacheHits.Inc()
-		s.finish(j)
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
@@ -750,13 +752,17 @@ func badBodyStatus(err error) int {
 
 // ---- job execution ----
 
-// beginJob is the shared front half of every pool task: record queue
-// wait into the job's timeline, bind the deadline and the job's own
-// context (DELETE cancellation) onto the pipeline context, and move the
-// job to running. It reports false — after finalizing the job when
-// needed — if the work must be skipped (expired in queue, or canceled
-// while queued); on true the caller owns cleanup and must defer it.
+// beginJob is the shared front half of every pool task: move the job
+// to running, record its queue wait into its timeline, and bind the
+// deadline and the job's own context (DELETE cancellation) onto the
+// pipeline context. It reports false if the work must be skipped —
+// canceled while queued (the DELETE handler finished it), or expired in
+// the queue (finished here as failed); on true the caller owns cleanup
+// and must defer it.
 func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, reqCtx context.Context) (context.Context, func(), bool) {
+	if !j.tryStart() {
+		return nil, nil, false
+	}
 	// The time between acceptance and this worker picking the task up
 	// is queue wait; record it into the job's own timeline (the pool
 	// hook feeds the histogram).
@@ -771,14 +777,7 @@ func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, r
 	ctx = obs.WithTraceID(obs.WithLogger(obs.WithRecorder(ctx, j.rec), j.logger), j.traceID)
 	if err := ctx.Err(); err != nil {
 		cleanup()
-		j.fail(fmt.Errorf("job expired before running: %w", err))
-		s.metrics.failed.Inc()
-		s.finish(j)
-		return nil, nil, false
-	}
-	if !j.tryStart() {
-		// Canceled while queued: the DELETE handler already counted it.
-		cleanup()
+		s.finish(j, StatusFailed, nil, fmt.Errorf("job expired before running: %w", err))
 		return nil, nil, false
 	}
 	j.logger.Info("job started",
@@ -786,18 +785,15 @@ func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, r
 	return ctx, cleanup, true
 }
 
-// failOrCancel finalizes a job whose pipeline returned an error: a job
+// failOrCancel finishes a job whose pipeline returned an error: a job
 // the client moved to canceling lands in canceled, anything else in
 // failed.
 func (s *Server) failOrCancel(j *Job, err error) {
+	status := StatusFailed
 	if j.statusNow() == StatusCanceling {
-		j.finalizeCanceled()
-		s.metrics.canceled.Inc()
-	} else {
-		j.fail(err)
-		s.metrics.failed.Inc()
+		status, err = StatusCanceled, errors.New("canceled while running")
 	}
-	s.finish(j)
+	s.finish(j, status, nil, err)
 }
 
 // runJob is the pool task behind POST /v1/jobs: run the optimization
@@ -815,60 +811,74 @@ func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
 	res, err := s.optimize(ctx, req)
 	sp.End()
 	if err != nil {
-		j.fail(err)
-		s.metrics.failed.Inc()
-		s.finish(j)
+		s.failOrCancel(j, err)
 		return
 	}
 	elapsed := time.Since(start)
 	res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cache.put(ctx, res)
-	j.complete(res)
-	s.metrics.completed.Inc()
+	s.cache.put(ctx, res.Digest, res)
 	s.metrics.latency.With(req.opt.Name()).Observe(res.ElapsedMS)
-	s.finish(j)
+	s.finish(j, StatusDone, res, nil)
 }
 
-// finish is the single exit point for every terminal job: fold the
-// job's spans into the per-phase histograms, release its in-flight
-// bytes, push a summary onto the debug ring, and log the outcome. Call
-// exactly once per job, after its terminal status is set.
-func (s *Server) finish(j *Job) {
+// finish is the single exit point for every job, called once by its
+// owner: the worker that started it, the DELETE handler that canceled
+// it while queued, or the handler that answered it from a cache. It
+// folds the job's spans into the per-phase histograms, counts the
+// outcome, releases the job's in-flight bytes and pushes its summary
+// onto the debug ring — all before it publishes the terminal status,
+// so a client that reads the status finds every one of them — then
+// logs the outcome. A job already terminal is left as it is.
+func (s *Server) finish(j *Job, status string, doc any, err error) {
+	v := j.view()
+	if terminalStatus(v.Status) {
+		return
+	}
 	var spans []obs.SpanData
 	if j.rec != nil {
 		spans, _ = j.rec.Snapshot()
 	}
 	s.metrics.observePhases(spans)
+	switch {
+	case status == StatusFailed:
+		s.metrics.failed.Inc()
+	case status == StatusCanceled:
+		s.metrics.canceled.Inc()
+	case !v.Cached:
+		s.metrics.completed.Inc()
+	}
 	if j.traceBytes > 0 {
 		s.metrics.inflightBytes.Add(-j.traceBytes)
 	}
-	v := j.view()
 	sum := jobSummary{
 		ID:        v.ID,
 		Kind:      v.Kind,
 		TraceID:   v.TraceID,
-		Status:    v.Status,
+		Status:    status,
 		Prog:      j.progName,
 		Optimizer: j.optName,
 		Cached:    v.Cached,
-		Error:     v.Error,
 	}
-	switch {
-	case v.Result != nil:
-		sum.ElapsedMS = v.Result.ElapsedMS
-	case v.Corun != nil:
-		sum.ElapsedMS = v.Corun.ElapsedMS
-	case v.Schedule != nil:
-		sum.ElapsedMS = v.Schedule.ElapsedMS
+	if err != nil {
+		sum.Error = err.Error()
 	}
-	s.ring.push(sum)
+	switch d := doc.(type) {
+	case *Result:
+		sum.ElapsedMS = d.ElapsedMS
+	case *CorunDoc:
+		sum.ElapsedMS = d.ElapsedMS
+	case *ScheduleDoc:
+		sum.ElapsedMS = d.ElapsedMS
+	}
+	s.ring.Push(sum)
+	j.settle(status, doc, err, s.now())
 	logger := j.logger
 	if logger == nil {
 		logger = obs.NopLogger
 	}
-	switch v.Status {
+	switch status {
 	case StatusFailed:
-		logger.Error("job failed", "error", v.Error, "spans", len(spans))
+		logger.Error("job failed", "error", sum.Error, "spans", len(spans))
 	case StatusCanceled:
 		logger.Info("job canceled", "spans", len(spans))
 	default:
@@ -940,15 +950,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	if j.cancelQueued(s.now()) {
-		s.metrics.canceled.Inc()
-		s.finish(j)
+	if j.startCancel(StatusQueued) {
+		s.finish(j, StatusCanceled, nil, errors.New("canceled before running"))
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
-	if (j.kind == jobKindCorun || j.kind == jobKindSchedule) && j.cancelRunning() {
-		// The worker observes the fired context, finalizes the status to
-		// canceled, and counts it; the client polls GET /v1/jobs/{id}.
+	if (j.kind == jobKindCorun || j.kind == jobKindSchedule) && j.startCancel(StatusRunning) {
+		// The worker observes the fired context and finishes the job as
+		// canceled; the client polls GET /v1/jobs/{id}.
 		writeJSON(w, http.StatusAccepted, j.view())
 		return
 	}
@@ -960,7 +969,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleDebugJobs is GET /v1/debug/jobs: the bounded ring of recent
 // terminal-job summaries, newest first.
 func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]jobSummary{"jobs": s.ring.snapshot()})
+	writeJSON(w, http.StatusOK, map[string][]jobSummary{"jobs": s.ring.Snapshot()})
 }
 
 func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) {

@@ -386,17 +386,14 @@ func (s *Server) runStreamJob(poolCtx context.Context, j *Job, req *streamReques
 	if cached {
 		j.markCached()
 		s.metrics.cacheHits.Inc()
-		j.complete(res)
-		s.finish(j)
+		s.finish(j, StatusDone, res, nil)
 		return
 	}
 	elapsed := time.Since(start)
 	res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cache.put(ctx, res)
-	j.complete(res)
-	s.metrics.completed.Inc()
+	s.cache.put(ctx, res.Digest, res)
 	s.metrics.latency.With(req.sub.optName).Observe(res.ElapsedMS)
-	s.finish(j)
+	s.finish(j, StatusDone, res, nil)
 }
 
 // streamOptimize is the consumer half of a streamed submission: feed
@@ -524,8 +521,9 @@ func (s *Server) replaySpool(ctx context.Context, prog *ir.Program, l *layout.La
 }
 
 // retainSpool keeps a streamed trace queryable by digest for the
-// corun/schedule endpoints — durable tier only, and only up to a size
-// cap: re-buffering an arbitrarily large spool would defeat the
+// corun/schedule endpoints — in the durable tier, or decoded into the
+// bounded memory tier when there is none — up to a size cap:
+// re-buffering an arbitrarily large spool would defeat the
 // bounded-memory ingest, so huge streamed traces are analyzed but not
 // retained.
 func (s *Server) retainSpool(ctx context.Context, digest, path string, size int64) {

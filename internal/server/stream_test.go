@@ -493,3 +493,22 @@ func TestMultipartFieldOverflow(t *testing.T) {
 		t.Errorf("in-bound field status %d: %s", resp2.StatusCode, body)
 	}
 }
+
+// TestStreamedTraceRetainedWithoutStore: with no durable tier, a
+// streamed submission's trace is decoded into the memory tier, so
+// /v1/corun can replay the layouts built from it.
+func TestStreamedTraceRetainedWithoutStore(t *testing.T) {
+	_, ts := newStreamServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1})
+	dA := submitDone(t, ts, "func-affinity")
+	dB := submitDone(t, ts, "func-trg")
+	if got := metricValue(t, ts, "layoutd_stream_jobs_total"); got != 2 {
+		t.Fatalf("stream_jobs_total = %v, want both submissions streamed", got)
+	}
+	v, msg, code := postJSON(t, ts, "/v1/corun", map[string]any{"a": dA, "b": dB})
+	if code != http.StatusAccepted {
+		t.Fatalf("corun status %d (%s), want 202", code, msg)
+	}
+	if done := waitJob(t, ts, v.ID); done.Status != StatusDone || done.Corun == nil {
+		t.Fatalf("corun job: %+v", done)
+	}
+}

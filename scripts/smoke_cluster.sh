@@ -176,7 +176,7 @@ done
 echo "smoke-cluster: resubmitting to non-owner $NONOWNER (expect forwarded cache hit)"
 "$WORK/layoutctl" -addr "$NONOWNER_ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result2.json"
-grep -q 'cached=true' "$WORK/result2.json"
+grep -q '"cached": true' "$WORK/result2.json"
 fetch "$NONOWNER_ADDR/metrics" >"$WORK/metrics-nonowner.txt"
 grep -q "^layoutd_peer_forwards_total{peer=\"$OWNER\"} [1-9]" "$WORK/metrics-nonowner.txt" || {
     echo "smoke-cluster: non-owner shows no forward to $OWNER" >&2

@@ -116,7 +116,7 @@ echo "smoke-durable: layoutd back at $ADDR"
 echo "smoke-durable: resubmitting identical trace (expect disk cache hit)"
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result2.json"
-grep -q 'cached=true' "$WORK/result2.json"
+grep -q '"cached": true' "$WORK/result2.json"
 
 fetch "$ADDR/v1/layouts/$DIGEST" >"$WORK/layout2.json"
 cmp "$WORK/layout1.json" "$WORK/layout2.json" || {
@@ -171,7 +171,7 @@ fetch "$ADDR/metrics" | grep -q '^layoutd_store_state 0$'
 # Degraded is not down: the identical resubmit is served from memory.
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result4.json"
-grep -q 'cached=true' "$WORK/result4.json"
+grep -q '"cached": true' "$WORK/result4.json"
 
 echo "smoke-durable: draining faulted daemon"
 kill -TERM "$DAEMON_PID"

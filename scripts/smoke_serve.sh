@@ -116,7 +116,7 @@ fetch "$ADDR/v1/debug/jobs" | grep -q "\"id\": \"$JOB_ID\""
 echo "smoke-serve: resubmitting identical trace (expect cache hit)"
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result2.json"
-grep -q 'cached=true' "$WORK/result2.json"
+grep -q '"cached": true' "$WORK/result2.json"
 
 fetch "$ADDR/metrics" >"$WORK/metrics.txt"
 grep -q '^layoutd_cache_hits_total 1$' "$WORK/metrics.txt"
