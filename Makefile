@@ -27,8 +27,9 @@ race:
 
 # Race stress: the job-lifecycle, cache and ring tests — including
 # TestCancelQueuedJob and TestJobTraceTimeline, which used to flake
-# under load — repeated under the race detector.
-RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestRing.*)$$
+# under load, and the cache hit answered at an upload's seal —
+# repeated under the race detector.
+RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestRing.*)$$
 race-stress:
 	$(GO) test -race -count=20 -run '$(RACE_STRESS)' ./internal/server ./internal/obs
 

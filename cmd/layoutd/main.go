@@ -76,7 +76,7 @@ func main() {
 	faultSpec := flag.String("fault-spec", "", "DEBUG: inject store filesystem faults, e.g. 'write:every=1,err=ENOSPC' (requires -store-dir)")
 	traceCache := flag.Int("trace-cache", server.DefaultTraceCacheEntries, "decoded traces retained in memory for /v1/corun and /v1/schedule replay")
 	maxSchedule := flag.Int("max-schedule", server.DefaultMaxScheduleDigests, "layout digests accepted per /v1/schedule request")
-	streamWindow := flag.Int64("stream-window", server.DefaultStreamWindow, "decoded-trace bytes buffered per streamed submission; 0 disables analyze-while-uploading")
+	streamWindow := flag.Int64("stream-window", server.DefaultStreamWindow, "decoded-trace bytes one submission may buffer: a trace that fits is held and analyzed after its upload, a larger one while it uploads (<= 0 = default)")
 	uploadDir := flag.String("upload-dir", "", "directory for resumable-upload spools (empty = uploads disabled)")
 	uploadMaxSessions := flag.Int("upload-sessions", store.DefaultMaxUploadSessions, "concurrently open resumable-upload sessions")
 	nodeID := flag.String("node-id", "", "this node's cluster ID (required with -peers)")

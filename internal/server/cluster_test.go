@@ -525,8 +525,8 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // ---- trace retention vs concurrent corun ----
 
 // TestTraceEvictionRacesCorun drives the trace LRU at capacity 1 while
-// corun jobs replay both retained traces concurrently with submissions
-// that force evictions. With a durable store behind the LRU every
+// corun jobs replay the retained traces concurrently with each other
+// and with resubmissions. With a durable store behind the LRU every
 // replay must still find its trace (disk fall-through); the point of
 // the test is the -race interleaving of putMemory eviction against
 // get's repopulation.
@@ -541,8 +541,9 @@ func TestTraceEvictionRacesCorun(t *testing.T) {
 	var wg sync.WaitGroup
 	jobs := make(chan string, 16)
 	// Half the goroutines hammer corun pairings (each replays both
-	// traces), the other half resubmit the trace (cache-hit path calls
-	// traces.put, churning the LRU front and evicting).
+	// traces, repopulating the LRU from disk), the other half resubmit
+	// the trace (answered from the result cache at the seal, so the
+	// resubmits add queue pressure, not trace puts).
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"log/slog"
+	"os"
 	"sync"
 	"time"
 
@@ -59,22 +60,50 @@ const (
 	jobKindSchedule = "schedule"
 )
 
-// jobRequest carries everything a worker needs to run one job. The
-// trace and program are fully validated at submission time, so a worker
-// can only fail on pipeline errors, not on malformed input.
+// jobRequest carries one optimization job from its handler to its
+// worker. The handler fills in what the upload reveals — the digests,
+// the size, the held trace — before it closes the ring, and the worker
+// reads them only once it has drained the ring.
 type jobRequest struct {
-	prog        *ir.Program
-	progName    string
-	opt         core.Optimizer
-	pruneTopN   int
-	trace       *trace.Trace
-	traceDigest string
-	digest      string
-	deadline    time.Time
-	// ctx is the job's own lifetime context; DELETE /v1/jobs/{id}
-	// cancels it so the pipeline stops even if the job slipped into
-	// running between the status check and the cancel.
+	prog      *ir.Program
+	progName  string
+	opt       core.Optimizer
+	pruneTopN int
+	deadline  time.Time
+	// ctx is the job's own lifetime context; DELETE /v1/jobs/{id} and
+	// the job's finish cancel it, so the pipeline stops even if the job
+	// slipped into running between the status check and the cancel.
 	ctx context.Context
+
+	// ring carries the upload to the worker; its closing is the seal.
+	// spool is the raw upload on disk, which the job owns.
+	ring  *streamRing
+	spool string
+
+	// Set at the seal.
+	traceDigest string
+	traceBytes  int64
+	digest      string
+	held        *trace.Trace // the decoded trace, when it fits the window
+}
+
+// optimizer returns the request's optimizer at its prune bound.
+func (req *jobRequest) optimizer() core.Optimizer {
+	opt := req.opt
+	opt.PruneTopN = req.pruneTopN
+	return opt
+}
+
+// dispose releases the job's upload once its worker is done with it,
+// whatever the pipeline did: it stops a producer still decoding, drains
+// the ring and removes the spool.
+func (req *jobRequest) dispose() {
+	if req.ring != nil {
+		req.ring.abandon()
+	}
+	if req.spool != "" {
+		os.Remove(req.spool)
+	}
 }
 
 // Job is one submission's mutable state. All fields behind mu except
@@ -113,6 +142,8 @@ type Job struct {
 	// traceBytes is the upload size counted in layoutd_inflight_bytes
 	// while the job is queued or running (0 for cache hits).
 	traceBytes int64
+	// finishing is set by the one finish call that claims the job.
+	finishing bool
 }
 
 // jobView is the wire representation of a job. Kind is empty for
@@ -131,20 +162,42 @@ type jobView struct {
 	Schedule *ScheduleDoc `json:"schedule,omitempty"`
 }
 
-// setDigest publishes a content address learned after acceptance —
-// streamed submissions only know their trace digest at end-of-stream.
+// setDigest publishes a content address learned after acceptance: an
+// upload's digest is only known at the seal.
 func (j *Job) setDigest(d string) {
 	j.mu.Lock()
 	j.digest = d
 	j.mu.Unlock()
 }
 
-// markCached flags a running job that resolved from the result cache
-// (the streamed path's post-upload cache hit).
-func (j *Job) markCached() {
+// holdBytes counts a sealed miss's upload size in the in-flight gauge
+// g until the job's finish releases it. A job already claimed holds
+// nothing.
+func (j *Job) holdBytes(g *obs.Gauge, n int64) {
 	j.mu.Lock()
-	j.cached = true
+	defer j.mu.Unlock()
+	if j.finishing || terminalStatus(j.status) {
+		return
+	}
+	j.traceBytes = n
+	g.Add(n)
+}
+
+// claim reserves the job for the one finish call that owns it, marking
+// it cached when a cache answered it. It reports false when the job is
+// terminal or another owner claimed it first; otherwise it returns the
+// job's view and the in-flight bytes the job holds.
+func (j *Job) claim(cached bool) (jobView, int64, bool) {
+	j.mu.Lock()
+	if j.finishing || terminalStatus(j.status) {
+		j.mu.Unlock()
+		return jobView{}, 0, false
+	}
+	j.finishing = true
+	j.cached = j.cached || cached
+	held := j.traceBytes
 	j.mu.Unlock()
+	return j.view(), held, true
 }
 
 func (j *Job) view() jobView {

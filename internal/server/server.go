@@ -1,22 +1,26 @@
 // Package server implements layoutd, the layout-optimization service:
 // an HTTP layer over the repository's trace format and optimizer suite.
 // Clients stream a CLTR binary trace to POST /v1/jobs together with a
-// suite-program name and an optimizer name; the server decodes the
-// upload incrementally (trace.Decoder), queues an optimization job on a
-// bounded worker pool (parallel.Pool) with per-job deadline and
-// backpressure (429 when the queue is full), and stores completed
-// results in a content-addressed cache keyed by the SHA-256 of the
-// trace bytes plus the optimizer and its parameters, so resubmitting
-// the same profile never recomputes.
+// suite-program name and an optimizer name. Every submission takes one
+// ingest path (see stream.go): the job is admitted to a bounded worker
+// pool (parallel.Pool) before the body is read, with per-job deadline
+// and backpressure (429 when the queue is full); the upload is decoded
+// incrementally (trace.Decoder) and hashed as it arrives; and at the
+// seal the result is looked up in a content-addressed cache keyed by
+// the SHA-256 of the trace bytes plus the optimizer and its parameters,
+// so resubmitting the same profile answers 200 at once and never
+// recomputes. Only a miss reaches a worker.
 //
-// With Config.StreamWindow > 0, feed-capable optimizers analyze the
-// trace while it uploads (see stream.go): decoded chunks flow through a
+// A trace whose decoded form fits Config.StreamWindow is held whole and
+// analyzed after the seal. A larger one is analyzed while it uploads
+// when the optimizer supports feed mode: decoded chunks flow through a
 // bounded ring into the analysis kernels, so memory stays O(window) no
-// matter how large the trace, and the result is byte-identical to the
-// buffered pipeline's. Config.Uploads additionally enables resumable
-// chunked uploads (see uploads.go) for traces too large or too flaky
-// to submit in one request. GET /metrics exposes counters and
-// per-optimizer latency histograms with no external dependencies.
+// matter how large the trace. Every regime's result is byte-identical
+// to the buffered pipeline's. Config.Uploads additionally enables
+// resumable chunked uploads (see uploads.go) for traces too large or
+// too flaky to submit in one request; their finalize takes the same
+// ingest path. GET /metrics exposes counters and per-optimizer latency
+// histograms with no external dependencies.
 //
 // Observability (internal/obs) is threaded through the whole job path:
 // every submission gets a trace_id carried on context.Context into the
@@ -65,6 +69,7 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,10 +81,8 @@ import (
 	"codelayout/internal/cluster"
 	"codelayout/internal/core"
 	"codelayout/internal/ir"
-	"codelayout/internal/layout"
 	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
-	"codelayout/internal/stats"
 	"codelayout/internal/store"
 	"codelayout/internal/trace"
 )
@@ -131,12 +134,13 @@ type Config struct {
 	// MaxScheduleDigests bounds the layouts one /v1/schedule request may
 	// place; 0 means DefaultMaxScheduleDigests.
 	MaxScheduleDigests int
-	// StreamWindow bounds the decoded-chunk memory of one streamed
-	// submission, in bytes. > 0 enables feed-mode ingest: uploads whose
-	// optimizer supports it are analyzed while they arrive, with at most
-	// this much decoded trace in flight (the TCP stream stalls when the
-	// analysis falls behind). 0 disables streaming: every upload is fully
-	// decoded before analysis, as before.
+	// StreamWindow bounds the decoded trace one submission buffers, in
+	// bytes; <= 0 means DefaultStreamWindow. A trace whose decoded form
+	// fits is held whole and analyzed only after its upload missed the
+	// result cache. A larger one is analyzed while it arrives when its
+	// optimizer supports feed mode, with at most this much decoded trace
+	// in flight (the TCP stream stalls when the analysis falls behind);
+	// any other optimizer decodes its spool after the upload.
 	StreamWindow int64
 	// Uploads is the optional resumable-upload session manager backing
 	// POST /v1/uploads and friends; the chunked path for traces too large
@@ -171,9 +175,8 @@ const (
 	DefaultMaxJobs            = 4096
 	DefaultTraceCacheEntries  = 32
 	DefaultMaxScheduleDigests = 32
-	// DefaultStreamWindow is cmd/layoutd's -stream-window default. The
-	// Config zero value keeps streaming off (the embedding caller opts
-	// in); the daemon streams by default.
+	// DefaultStreamWindow holds a trace of up to 2^21 references
+	// (8 MiB decoded) whole, for analysis after its upload.
 	DefaultStreamWindow = 8 << 20
 )
 
@@ -219,8 +222,8 @@ type Server struct {
 	// per job.
 	arenas sync.Pool
 
-	// optimize runs one validated job request; tests substitute it to
-	// control timing and failure modes.
+	// optimize is the one optimization pipeline (runOptimize); tests
+	// substitute it to control timing and failure modes.
 	optimize func(ctx context.Context, req *jobRequest) (*Result, error)
 
 	// pairAnalysis runs one co-run pair analysis; tests substitute it to
@@ -269,6 +272,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DebugJobRing <= 0 {
 		cfg.DebugJobRing = DefaultDebugJobRing
+	}
+	if cfg.StreamWindow <= 0 {
+		cfg.StreamWindow = DefaultStreamWindow
 	}
 	// The durable tier the caches see: the raw store when single-node,
 	// or the cluster wrapper — which adds peer fetch-through on local
@@ -465,8 +471,8 @@ func (s *Server) StoreState() (store.State, bool) {
 // ---- submission ----
 
 // submission bundles one job submission's validated parameters and
-// observability handles, shared by the direct POST /v1/jobs path and
-// the resumable-upload finalize path.
+// observability handles, for the ingest behind POST /v1/jobs and the
+// resumable-upload finalize.
 type submission struct {
 	traceID string
 	rec     *obs.Recorder
@@ -527,18 +533,6 @@ func (sub *submission) resolve(s *Server, progName, optName, pruneStr string) er
 	return nil
 }
 
-// canStream reports whether this submission takes the feed-mode path:
-// streaming enabled and the optimizer — at this request's prune bound —
-// able to analyze the trace while it uploads.
-func (s *Server) canStream(sub *submission) bool {
-	if s.cfg.StreamWindow <= 0 {
-		return false
-	}
-	opt := sub.opt
-	opt.PruneTopN = sub.pruneTopN
-	return opt.FeedSupported(sub.prog)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, sub := s.newSubmissionCtx(r)
 
@@ -557,126 +551,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	if s.canStream(sub) {
-		s.streamSubmit(ctx, w, body, sub)
-		return
-	}
-
-	tr, hr, err := decodeUpload(ctx, body)
+	spool, err := os.CreateTemp(s.spoolDir(), "stream-*.cltr")
 	if err != nil {
-		sub.logger.Warn("trace decode failed", "error", err)
-		httpError(w, badBodyStatus(err), err)
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("creating spool: %w", err))
 		return
 	}
-	s.finishBufferedSubmit(ctx, w, sub, tr, hr.Sum(), hr.BytesRead())
-}
-
-// finishBufferedSubmit is the back half of a fully-decoded submission:
-// validate the trace against the program, retain it, and queue the job
-// (or answer instantly from the content-addressed cache). Shared by the
-// buffered POST /v1/jobs path and the non-streaming upload finalize.
-func (s *Server) finishBufferedSubmit(ctx context.Context, w http.ResponseWriter, sub *submission, tr *trace.Trace, traceDigest string, traceBytes int64) {
-	if tr.Len() == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("trace is empty"))
-		return
-	}
-	if max := tr.MaxSym(); int(max) >= sub.prog.NumBlocks() {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("trace symbol %d out of range for %s (%d blocks); is this a basic-block trace of the named program?",
-				max, sub.progName, sub.prog.NumBlocks()))
-		return
-	}
-
-	// Retain the decoded trace so /v1/corun and /v1/schedule can replay
-	// this profile later by digest, without a re-upload.
-	s.traces.put(ctx, traceDigest, tr)
-
-	req := &jobRequest{
-		prog:        sub.prog,
-		progName:    sub.progName,
-		opt:         sub.opt,
-		pruneTopN:   sub.pruneTopN,
-		trace:       tr,
-		traceDigest: traceDigest,
-		deadline:    time.Now().Add(s.cfg.JobTimeout),
-	}
-	req.digest = resultDigest(req.traceDigest, sub.progName, sub.optName, sub.pruneTopN)
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	req.ctx = jobCtx
-
-	j := &Job{
-		id:       s.newJobID(),
-		status:   StatusQueued,
-		digest:   req.digest,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  sub.traceID,
-		rec:      sub.rec,
-		progName: sub.progName,
-		optName:  sub.optName,
-	}
-	j.logger = sub.logger.With("job", j.id)
-
-	// Content-addressed fast path: an identical (trace, optimizer,
-	// params) submission completes instantly from the cache.
-	if res, ok := s.cache.get(ctx, req.digest); ok {
-		j.cached = true
-		s.metrics.cacheHits.Inc()
-		s.finish(j, StatusDone, res, nil)
-		s.storeJob(j)
-		s.metrics.accepted.Inc()
-		writeJSON(w, http.StatusOK, j.view())
-		return
-	}
-
-	// Account the trace bytes as in flight before the submit: once the
-	// pool has the task, a worker may reach finish (which releases them)
-	// at any moment.
-	j.traceBytes = traceBytes
-	s.metrics.inflightBytes.Add(j.traceBytes)
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runJob(poolCtx, j, req)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
-		s.metrics.inflightBytes.Add(-j.traceBytes)
-		s.metrics.rejected.Inc()
-		sub.logger.Warn("job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
-		return
-	}
-	s.metrics.accepted.Inc()
-	j.logger.Info("job accepted",
-		"prog", sub.progName, "opt", sub.optName, "prune", sub.pruneTopN,
-		"trace_bytes", traceBytes, "trace_refs", tr.Len(), "digest", req.digest)
-	writeJSON(w, http.StatusAccepted, j.view())
-}
-
-// decodeUpload decodes the streamed CLTR body while fingerprinting and
-// counting its bytes, under a trace.decode span. Trailing bytes are
-// drained so the digest covers the whole upload.
-func decodeUpload(ctx context.Context, body io.Reader) (*trace.Trace, *trace.HashingReader, error) {
-	sp := obs.StartSpan(ctx, "trace.decode")
-	defer sp.End()
-	hr := trace.NewHashingReader(body)
-	dec, err := trace.NewDecoder(hr)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := dec.Decode()
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := io.Copy(io.Discard, hr); err != nil {
-		return nil, nil, err
-	}
-	sp.SetAttr("bytes", hr.BytesRead())
-	sp.SetAttr("refs", int64(tr.Len()))
-	return tr, hr, nil
+	s.ingest(ctx, w, sub, body, spool, spool.Name())
 }
 
 // maxFormFieldBytes bounds the prog/opt/prune multipart form fields;
@@ -796,11 +676,12 @@ func (s *Server) failOrCancel(j *Job, err error) {
 	s.finish(j, status, nil, err)
 }
 
-// runJob is the pool task behind POST /v1/jobs: run the optimization
-// and publish the result to the content-addressed cache. The job's
-// recorder, logger, and trace ID ride the pipeline context from here
-// down.
+// runJob is the pool task behind every optimization job: run the
+// pipeline and publish the result to the content-addressed cache. The
+// job's recorder, logger, and trace ID ride the pipeline context from
+// here down.
 func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
+	defer req.dispose()
 	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
 	if !ok {
 		return
@@ -821,18 +702,27 @@ func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
 	s.finish(j, StatusDone, res, nil)
 }
 
-// finish is the single exit point for every job, called once by its
-// owner: the worker that started it, the DELETE handler that canceled
-// it while queued, or the handler that answered it from a cache. It
-// folds the job's spans into the per-phase histograms, counts the
-// outcome, releases the job's in-flight bytes and pushes its summary
-// onto the debug ring — all before it publishes the terminal status,
-// so a client that reads the status finds every one of them — then
-// logs the outcome. A job already terminal is left as it is.
+// finish is the single exit point for every job. Exactly one call
+// finishes a job: the first to claim it, which is its owner — the
+// worker that started it, the DELETE handler that canceled it while
+// queued, or the handler that answered it from a cache; any later call
+// changes nothing. It folds the job's spans into the per-phase
+// histograms, counts the outcome, releases the job's in-flight bytes
+// and pushes its summary onto the debug ring — all before it publishes
+// the terminal status, so a client that reads the status finds every
+// one of them — then logs the outcome.
 func (s *Server) finish(j *Job, status string, doc any, err error) {
-	v := j.view()
-	if terminalStatus(v.Status) {
-		return
+	s.finishJob(j, false, status, doc, err)
+}
+
+// finishJob is finish; hit marks an optimization job answered from the
+// result cache, which its claim marks cached in the same step, so no
+// other owner can finish the job in between. It reports whether this
+// call finished the job.
+func (s *Server) finishJob(j *Job, hit bool, status string, doc any, err error) bool {
+	v, held, ok := j.claim(hit)
+	if !ok {
+		return false
 	}
 	var spans []obs.SpanData
 	if j.rec != nil {
@@ -844,12 +734,12 @@ func (s *Server) finish(j *Job, status string, doc any, err error) {
 		s.metrics.failed.Inc()
 	case status == StatusCanceled:
 		s.metrics.canceled.Inc()
+	case hit:
+		s.metrics.cacheHits.Inc()
 	case !v.Cached:
 		s.metrics.completed.Inc()
 	}
-	if j.traceBytes > 0 {
-		s.metrics.inflightBytes.Add(-j.traceBytes)
-	}
+	s.metrics.inflightBytes.Add(-held)
 	sum := jobSummary{
 		ID:        v.ID,
 		Kind:      v.Kind,
@@ -885,40 +775,7 @@ func (s *Server) finish(j *Job, status string, doc any, err error) {
 		logger.Info("job finished",
 			"cached", v.Cached, "elapsed_ms", sum.ElapsedMS, "spans", len(spans))
 	}
-}
-
-// runOptimize is the real pipeline: optimize the uploaded profile, then
-// replay the same trace through the original and optimized layouts to
-// report the simulated miss ratios before and after.
-func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, error) {
-	opt := req.opt
-	opt.PruneTopN = req.pruneTopN
-	opt.Workers = s.cfg.OptWorkers
-	opt.Arena = s.getArena()
-	defer s.putArena(opt.Arena)
-	prof := &core.Profile{Prog: req.prog, Blocks: req.trace}
-	l, rep, err := opt.OptimizeCtx(ctx, prof)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("job deadline exceeded after optimization: %w", err)
-	}
-	cfg := cachesim.L1IDefault
-	before := cachesim.SimulateSoloCtx(ctx, cfg,
-		layout.NewReplayer(layout.Original(req.prog), req.trace, cfg.LineBytes, false)).Stats.MissRatio()
-	after := cachesim.SimulateSoloCtx(ctx, cfg,
-		layout.NewReplayer(l, req.trace, cfg.LineBytes, false)).Stats.MissRatio()
-	return &Result{
-		Digest:        req.digest,
-		TraceDigest:   req.traceDigest,
-		Prog:          req.progName,
-		Optimizer:     req.opt.Name(),
-		Report:        rep,
-		MissBefore:    before,
-		MissAfter:     after,
-		MissReduction: stats.Reduction(before, after),
-	}, nil
+	return true
 }
 
 // ---- reads ----

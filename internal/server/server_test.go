@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"mime/multipart"
@@ -165,65 +166,71 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
 	return 0
 }
 
-// TestEndToEnd is the acceptance path: submit a recorded trace, poll
-// the job, and check the result against a direct in-process run of the
-// same optimizer on the same trace.
+// TestEndToEnd pins the served pipeline to the offline one in both
+// ingest regimes: a default-window server holds the trace whole and
+// analyzes it after the seal, and a tiny-window one analyzes it while
+// it uploads (a feed optimizer) or decodes its spool after the seal (a
+// non-feed one). Each served result must equal a direct Optimize plus
+// two SimulateSolo replays of the same trace.
 func TestEndToEnd(t *testing.T) {
 	raw, prof := recordedTrace(t)
-	_, ts := newTestServer(t, Config{JobWorkers: 2, QueueDepth: 8, OptWorkers: 1})
-
-	const optName = "func-affinity"
-	v, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt="+optName)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
-	if v.Status != StatusQueued && v.Status != StatusRunning {
-		t.Fatalf("fresh job status %q", v.Status)
-	}
-	done := waitJob(t, ts, v.ID)
-	if done.Status != StatusDone {
-		t.Fatalf("job failed: %+v", done)
-	}
-	res := done.Result
-	if res == nil {
-		t.Fatal("done job has no result")
-	}
-
-	// Reference: the same pipeline, run directly.
 	tr, err := trace.ReadFrom(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.OptimizerByName(optName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 1
-	refProf := &core.Profile{Prog: prof.Prog, Blocks: tr}
-	l, rep, err := opt.Optimize(refProf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Report.Sequence, rep.Sequence) {
-		t.Error("served sequence differs from direct Optimize call")
-	}
-	if res.Report.SeqLen != rep.SeqLen || res.Report.TraceLen != rep.TraceLen {
-		t.Errorf("served report %+v != direct %+v", res.Report, rep)
-	}
-	cfg := cachesim.L1IDefault
-	wantBefore := cachesim.SimulateSolo(cfg,
-		layout.NewReplayer(layout.Original(prof.Prog), tr, cfg.LineBytes, false)).Stats.MissRatio()
-	wantAfter := cachesim.SimulateSolo(cfg,
-		layout.NewReplayer(l, tr, cfg.LineBytes, false)).Stats.MissRatio()
-	if res.MissBefore != wantBefore || res.MissAfter != wantAfter {
-		t.Errorf("served miss ratios %v/%v != direct %v/%v",
-			res.MissBefore, res.MissAfter, wantBefore, wantAfter)
-	}
-	if res.MissAfter >= res.MissBefore {
-		t.Errorf("optimization did not reduce simulated misses: %v -> %v", res.MissBefore, res.MissAfter)
-	}
-	if res.TraceDigest != tr.Digest() {
-		t.Errorf("trace digest %s != canonical %s", res.TraceDigest, tr.Digest())
+	for _, optName := range []string{"func-affinity", "func-cmg"} {
+		for _, window := range []int64{0, streamTestWindow} {
+			t.Run(fmt.Sprintf("%s/window=%d", optName, window), func(t *testing.T) {
+				_, ts := newTestServer(t, Config{JobWorkers: 2, QueueDepth: 8, OptWorkers: 1, StreamWindow: window})
+				v, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt="+optName)
+				if code != http.StatusAccepted {
+					t.Fatalf("submit status %d", code)
+				}
+				if v.Status != StatusQueued && v.Status != StatusRunning {
+					t.Fatalf("fresh job status %q", v.Status)
+				}
+				done := waitJob(t, ts, v.ID)
+				if done.Status != StatusDone {
+					t.Fatalf("job failed: %+v", done)
+				}
+				res := done.Result
+				if res == nil {
+					t.Fatal("done job has no result")
+				}
+
+				// Reference: the same pipeline, run directly.
+				opt, err := core.OptimizerByName(optName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.Workers = 1
+				l, rep, err := opt.Optimize(&core.Profile{Prog: prof.Prog, Blocks: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Report.Sequence, rep.Sequence) {
+					t.Error("served sequence differs from direct Optimize call")
+				}
+				if res.Report.SeqLen != rep.SeqLen || res.Report.TraceLen != rep.TraceLen {
+					t.Errorf("served report %+v != direct %+v", res.Report, rep)
+				}
+				cfg := cachesim.L1IDefault
+				wantBefore := cachesim.SimulateSolo(cfg,
+					layout.NewReplayer(layout.Original(prof.Prog), tr, cfg.LineBytes, false)).Stats.MissRatio()
+				wantAfter := cachesim.SimulateSolo(cfg,
+					layout.NewReplayer(l, tr, cfg.LineBytes, false)).Stats.MissRatio()
+				if res.MissBefore != wantBefore || res.MissAfter != wantAfter {
+					t.Errorf("served miss ratios %v/%v != direct %v/%v",
+						res.MissBefore, res.MissAfter, wantBefore, wantAfter)
+				}
+				if res.MissAfter >= res.MissBefore {
+					t.Errorf("optimization did not reduce simulated misses: %v -> %v", res.MissBefore, res.MissAfter)
+				}
+				if res.TraceDigest != tr.Digest() {
+					t.Errorf("trace digest %s != canonical %s", res.TraceDigest, tr.Digest())
+				}
+			})
+		}
 	}
 }
 
@@ -597,15 +604,15 @@ func TestJobTraceTimeline(t *testing.T) {
 		byName[sp.Name] = sp
 	}
 	for _, want := range []string{
-		"queue.wait", "trace.decode", "optimize",
-		"trace.prune", "affinity.hierarchy", "layout.emit", "cachesim.replay",
+		"queue.wait", "stream.decode", "optimize",
+		"stream.feed", "affinity.hierarchy", "layout.emit", "cachesim.replay",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("trace missing span %q (have %v)", want, spanNames(tv.Spans))
 		}
 	}
 	opt := byName["optimize"]
-	for _, child := range []string{"trace.prune", "affinity.hierarchy", "layout.emit"} {
+	for _, child := range []string{"stream.feed", "affinity.hierarchy", "layout.emit"} {
 		c, ok := byName[child]
 		if !ok {
 			continue

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"codelayout/internal/cachesim"
+	"codelayout/internal/core"
 	"codelayout/internal/ir"
 	"codelayout/internal/layout"
 	"codelayout/internal/obs"
@@ -18,50 +20,63 @@ import (
 	"codelayout/internal/trace"
 )
 
-// Streamed ingest: when Config.StreamWindow > 0 and the optimizer
-// supports feed mode (core.Optimizer.FeedSupported), POST /v1/jobs no
-// longer buffers the decoded trace before analysis. The request
-// handler becomes the producer — it decodes the upload into fixed-size
-// chunks and tees the raw container bytes to a disk spool — while a
-// pool worker consumes the chunks into the optimizer's feed as they
-// arrive. Decoded memory is bounded by the ring below; when the
-// analysis falls behind, the producer blocks waiting for a recycled
-// buffer and TCP backpressure stalls the client. After end-of-stream
-// the worker finishes the analysis and replays the spool once through
-// two streaming cache simulations (original and optimized layouts) for
-// the before/after miss ratios, so no stage ever holds the whole
-// decoded trace.
+// Ingest: POST /v1/jobs and upload finalize share one path (ingest).
+// The handler admits the job to the pool before it reads the body, then
+// runs the one producer (streamProduce), and at the seal — the content
+// address now known — answers a cache hit itself with 200. A miss
+// answers 202 and leaves the job to its worker, runJob → runOptimize.
+// The CLTR header's declared count decides how that worker reads the
+// trace:
 //
-// PR 1's deterministic sharded merge is what makes this safe: the feed
-// cuts shards at chunk arrival boundaries, yet the merged result is
-// byte-identical to the buffered pipeline's, so streamed and buffered
-// submissions of the same trace produce the same content-addressed
-// result.
+//   - Decoded, it fits Config.StreamWindow: the producer holds it whole,
+//     and the worker analyzes it after the seal — through core.Feed when
+//     the optimizer supports feed mode, else OptimizeCtx — then replays
+//     from it.
+//   - It is larger: a feed-capable worker analyzes it while it uploads,
+//     through a bounded ring (streamRing), so memory stays O(window);
+//     when the analysis falls behind, the producer blocks waiting for a
+//     recycled buffer and TCP backpressure stalls the client. It then
+//     replays the spool. Any other worker decodes the spool after the
+//     seal and replays from that copy.
+//
+// The kernels' deterministic sharded merge makes chunked analysis
+// byte-identical to the buffered pipeline's, so every regime yields the
+// same content-addressed result.
 
 const (
-	// streamChunkRefs is the decode granularity of the streamed path:
-	// one ring buffer holds this many block references (32 KiB).
+	// streamChunkRefs is the decode granularity: one ring buffer holds
+	// this many block references (32 KiB).
 	streamChunkRefs  = 8192
 	streamChunkBytes = 4 * streamChunkRefs
 	// minStreamBuffers is the ring floor — producer-held, in-channel,
 	// and consumer-held buffers — below which the pipeline cannot
 	// overlap at all.
 	minStreamBuffers = 3
+	// maxHeldPrealloc caps the references a held trace allocates up
+	// front, as trace.Decoder.Decode does, so a lying header cannot force
+	// a large allocation before any payload arrives.
+	maxHeldPrealloc = 1 << 20
 	// streamRetainMaxBytes caps the spooled traces retained for later
-	// corun/schedule replay; larger streamed uploads are analyzed but
-	// not kept (re-buffering them would defeat the bounded ingest).
+	// corun/schedule replay; larger uploads are analyzed but not kept
+	// (re-buffering them would defeat the bounded ingest).
 	streamRetainMaxBytes = 16 << 20
 )
 
+// chunkSource hands a trace to fn one chunk at a time, in order,
+// stopping at fn's first error.
+type chunkSource func(fn func([]int32) error) error
+
 // streamRing is the bounded chunk pipe between one submission's
 // producer (the request handler decoding the upload) and consumer (the
-// pool worker feeding the optimizer). Buffers are allocated lazily up
-// to the window bound and recycled through free.
+// pool worker). Only an over-window feed job's chunks travel through
+// it; for every job, its closing is the seal the worker waits for.
+// Buffers are allocated lazily up to the window bound and recycled
+// through free.
 //
 // Shutdown protocol: only the producer closes chunks (always, success
-// or failure, via closeChunks); only the consumer closes done (at most
-// once, via fail). The consumer always drains chunks to the closure,
-// so neither side can strand the other.
+// or failure, via closeChunks); only the consumer closes done (once, via
+// fail). The consumer always drains chunks to the closure, so neither
+// side can strand the other.
 type streamRing struct {
 	chunks chan []int32
 	free   chan []int32
@@ -69,14 +84,10 @@ type streamRing struct {
 
 	maxBufs   int
 	allocated int // producer-side only
-	released  bool
 
-	mu          sync.Mutex
-	err         error
-	sealed      bool
-	traceDigest string
-	traceBytes  int64
-	refs        int
+	mu     sync.Mutex
+	err    error
+	failed bool
 }
 
 func newStreamRing(window int64) *streamRing {
@@ -136,31 +147,22 @@ func (rg *streamRing) recycle(buf []int32) {
 }
 
 // fail aborts the stream from the consumer side (feed error, job
-// canceled before running): the producer unblocks and stops decoding.
-// Call at most once per ring.
+// ended before its upload): the producer unblocks and stops decoding.
+// Later calls change nothing.
 func (rg *streamRing) fail(err error) {
 	rg.mu.Lock()
+	defer rg.mu.Unlock()
 	if rg.err == nil {
 		rg.err = err
 	}
-	rg.mu.Unlock()
-	close(rg.done)
+	if !rg.failed {
+		rg.failed = true
+		close(rg.done)
+	}
 }
 
-// seal records end-of-stream success: the upload's digest, byte count,
-// and reference count, published to the consumer by the chunks close
-// that follows.
-func (rg *streamRing) seal(digest string, nbytes int64, refs int) {
-	rg.mu.Lock()
-	rg.sealed = true
-	rg.traceDigest = digest
-	rg.traceBytes = nbytes
-	rg.refs = refs
-	rg.mu.Unlock()
-}
-
-// closeChunks ends production. A nil perr means seal already ran; a
-// non-nil one poisons the stream so the consumer aborts its feed.
+// closeChunks ends production: the seal when perr is nil, else the
+// upload's failure, which the consumer reports.
 func (rg *streamRing) closeChunks(perr error) {
 	rg.mu.Lock()
 	if perr != nil && rg.err == nil {
@@ -179,22 +181,47 @@ func (rg *streamRing) abortErr() error {
 	return errors.New("stream aborted")
 }
 
-// result returns the sealed end-of-stream record; valid after chunks
-// closes.
-func (rg *streamRing) result() (sealed bool, digest string, nbytes int64, refs int, err error) {
+// each is the ring as a chunkSource: it hands every chunk to fn as it
+// arrives and recycles it, and returns once the producer closes the
+// ring. After fn fails it fails the ring, which stops the producer, and
+// only drains. It returns fn's error, else the upload's.
+func (rg *streamRing) each(fn func([]int32) error) error {
+	var err error
+	for buf := range rg.chunks {
+		if err == nil {
+			if err = fn(buf); err != nil {
+				rg.fail(err)
+			}
+		}
+		rg.recycle(buf)
+	}
+	if err != nil {
+		return err
+	}
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	return rg.sealed, rg.traceDigest, rg.traceBytes, rg.refs, rg.err
+	if rg.err != nil {
+		return fmt.Errorf("upload failed: %w", rg.err)
+	}
+	return nil
 }
 
-// release returns the ring's buffer accounting to the gauge. Called by
-// the producer after closeChunks; the consumer only ever holds one
-// buffer transiently, so by then the count is stable.
-func (rg *streamRing) release(s *Server) {
-	if rg.released {
-		return
+// abandon ends the consumer side, whatever the worker did: it fails the
+// ring, so a producer still decoding stops, and drains it to the
+// closure, so the producer never wedges and has stopped writing the
+// spool.
+func (rg *streamRing) abandon() {
+	rg.fail(errors.New("job ended before its upload"))
+	for buf := range rg.chunks {
+		rg.recycle(buf)
 	}
-	rg.released = true
+}
+
+// release returns the ring's buffer accounting to the gauge. The
+// producer calls it once, when it has stopped producing; the consumer
+// only ever holds one buffer transiently, so by then the count is
+// stable.
+func (rg *streamRing) release(s *Server) {
 	s.streamBytes.Add(-int64(rg.allocated) * streamChunkBytes)
 }
 
@@ -209,18 +236,8 @@ func (s *Server) addStreamBuffered(n int64) {
 	}
 }
 
-// streamRequest carries one streamed submission to its pool worker.
-type streamRequest struct {
-	sub       *submission
-	spoolPath string
-	deadline  time.Time
-	// ctx is the job's own lifetime context (DELETE cancellation), as
-	// in jobRequest.
-	ctx context.Context
-}
-
-// spoolDir is where streamed submissions spool the raw upload; beside
-// the upload sessions when configured, the system temp dir otherwise.
+// spoolDir is where submissions spool the raw upload; beside the upload
+// sessions when configured, the system temp dir otherwise.
 func (s *Server) spoolDir() string {
 	if s.uploads != nil {
 		return s.uploads.Dir()
@@ -228,31 +245,23 @@ func (s *Server) spoolDir() string {
 	return ""
 }
 
-// streamSubmit is the feed-mode body of POST /v1/jobs: spool to a temp
-// file while decoding into the ring, analysis already running.
-func (s *Server) streamSubmit(ctx context.Context, w http.ResponseWriter, body io.Reader, sub *submission) {
-	spool, err := os.CreateTemp(s.spoolDir(), "stream-*.cltr")
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("creating stream spool: %w", err))
-		return
-	}
-	s.streamIngest(ctx, w, body, spool, spool.Name(), sub)
-}
-
-// streamIngest runs one streamed submission end to end from the
-// handler goroutine: queue the consumer first (so analysis can start
-// with the first chunk), then produce until end-of-stream, then answer.
-// body is the CLTR byte source; tee, when non-nil, receives a copy of
-// the bytes at spoolPath (the finalize path passes tee nil because the
-// spool already exists). On acceptance the consumer owns spoolPath.
-func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body io.Reader, tee *os.File, spoolPath string, sub *submission) {
-	rg := newStreamRing(s.cfg.StreamWindow)
+// ingest runs one submission end to end from the handler goroutine:
+// admit the job, produce until end-of-stream, then answer — 200 with
+// the result on a cache hit, 202 on a miss. body is the CLTR byte
+// source; tee, when non-nil, receives a copy of the bytes at spool
+// (finalize passes nil: the sealed upload already is the spool). Once
+// admitted, the job owns spool.
+func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, sub *submission, body io.Reader, tee *os.File, spool string) {
 	jobCtx, jobCancel := context.WithCancel(context.Background())
-	req := &streamRequest{
-		sub:       sub,
-		spoolPath: spoolPath,
+	req := &jobRequest{
+		prog:      sub.prog,
+		progName:  sub.progName,
+		opt:       sub.opt,
+		pruneTopN: sub.pruneTopN,
 		deadline:  time.Now().Add(s.cfg.JobTimeout),
 		ctx:       jobCtx,
+		ring:      newStreamRing(s.cfg.StreamWindow),
+		spool:     spool,
 	}
 	j := &Job{
 		id:       s.newJobID(),
@@ -267,7 +276,7 @@ func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body i
 	j.logger = sub.logger.With("job", j.id)
 	s.storeJob(j)
 	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runStreamJob(poolCtx, j, req, rg)
+		s.runJob(poolCtx, j, req)
 	})
 	if !accepted {
 		s.dropJob(j.id)
@@ -275,7 +284,7 @@ func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body i
 		if tee != nil {
 			tee.Close()
 		}
-		os.Remove(spoolPath)
+		os.Remove(spool)
 		s.metrics.rejected.Inc()
 		sub.logger.Warn("job rejected: queue full", "job", j.id)
 		w.Header().Set("Retry-After", "1")
@@ -283,39 +292,47 @@ func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body i
 		return
 	}
 	s.metrics.accepted.Inc()
-	s.metrics.streamJobs.Inc()
 
-	perr := s.streamProduce(ctx, body, tee, rg)
+	err := s.streamProduce(ctx, body, tee, req)
 	if tee != nil {
-		if cerr := tee.Close(); perr == nil && cerr != nil {
-			perr = fmt.Errorf("closing stream spool: %w", cerr)
+		if cerr := tee.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("closing spool: %w", cerr)
 		}
 	}
-	if perr == nil {
-		// Publish the seal before the close so the consumer observes it.
-		rg.closeChunks(nil)
-	} else {
-		rg.closeChunks(perr)
-	}
-	rg.release(s)
-	if perr != nil {
-		sub.logger.Warn("streamed upload failed", "job", j.id, "error", perr)
-		httpError(w, badBodyStatus(perr), perr)
+	req.ring.release(s)
+	if err != nil {
+		req.ring.closeChunks(err)
+		sub.logger.Warn("upload failed", "job", j.id, "error", err)
+		httpError(w, badBodyStatus(err), err)
 		return
 	}
-	_, digest, nbytes, refs, _ := rg.result()
-	j.logger.Info("job accepted",
-		"prog", sub.progName, "opt", sub.optName, "prune", sub.pruneTopN,
-		"trace_bytes", nbytes, "trace_refs", refs, "trace_digest", digest,
-		"streamed", true)
-	writeJSON(w, http.StatusAccepted, j.view())
+	req.digest = resultDigest(req.traceDigest, sub.progName, sub.optName, sub.pruneTopN)
+	j.setDigest(req.digest)
+	// The seal. A hit finishes the job before the ring closes, so a
+	// worker already waiting on the ring finds it finished.
+	code := http.StatusAccepted
+	if res, ok := s.cache.get(ctx, req.digest); ok && s.finishJob(j, true, StatusDone, res, nil) {
+		code = http.StatusOK
+	} else {
+		j.holdBytes(s.metrics.inflightBytes, req.traceBytes)
+		j.logger.Info("job accepted",
+			"prog", sub.progName, "opt", sub.optName, "prune", sub.pruneTopN,
+			"trace_bytes", req.traceBytes, "trace_digest", req.traceDigest, "digest", req.digest)
+	}
+	v := j.view()
+	req.ring.closeChunks(nil)
+	writeJSON(w, code, v)
 }
 
-// streamProduce decodes the upload into ring chunks under a
-// stream.decode span, fingerprinting every byte and teeing the raw
-// container to the spool. On success the ring is sealed with the
-// digest; the caller closes the chunk channel either way.
-func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File, rg *streamRing) error {
+// streamProduce is the one producer: it decodes the upload under a
+// stream.decode span, fingerprints every byte, tees the raw container to
+// the spool and checks every symbol against the program. A trace whose
+// decoded form fits the window is held whole for the worker; a larger
+// one flows through the ring when the worker feeds it, and is otherwise
+// only checked — that worker decodes the spool after the seal. On
+// success it records the seal in req; the caller closes the ring either
+// way.
+func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File, req *jobRequest) error {
 	sp := obs.StartSpan(ctx, "stream.decode")
 	defer sp.End()
 	hr := trace.NewHashingReader(body)
@@ -327,208 +344,252 @@ func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File
 	if err != nil {
 		return err
 	}
-	if dec.Len() == 0 {
+	count := dec.Len()
+	if count == 0 {
 		return errors.New("trace is empty")
 	}
-	refs := 0
-	for {
-		buf, ok := rg.getBuf(s)
-		if !ok {
-			return rg.abortErr()
+	rg := req.ring
+	hold := int64(count)*4 <= s.cfg.StreamWindow
+	stream := !hold && req.optimizer().FeedSupported(req.prog)
+	var held []int32
+	if hold {
+		held = make([]int32, 0, min(count, maxHeldPrealloc))
+	}
+	nb := req.prog.NumBlocks()
+	for refs := 0; refs < count; {
+		var buf []int32
+		if hold {
+			want := min(count-refs, streamChunkRefs)
+			held = slices.Grow(held, want)
+			buf = held[refs : refs+want]
+		} else {
+			var ok bool
+			if buf, ok = rg.getBuf(s); !ok {
+				return rg.abortErr()
+			}
 		}
 		n, err := dec.NextChunk(buf)
-		if n > 0 {
-			refs += n
+		for _, sym := range buf[:n] {
+			if int(sym) >= nb {
+				return fmt.Errorf("trace symbol %d out of range for %s (%d blocks); is this a basic-block trace of the named program?",
+					sym, req.progName, nb)
+			}
+		}
+		refs += n
+		switch {
+		case hold:
+			held = held[:refs]
+		case stream && n > 0:
 			if !rg.send(buf[:n]) {
 				return rg.abortErr()
 			}
-		} else {
+		default:
 			rg.recycle(buf)
-		}
-		if err == io.EOF {
-			break
 		}
 		if err != nil {
 			return err
 		}
 	}
-	// Drain trailing bytes so the digest covers the whole upload,
-	// matching the buffered decodeUpload.
+	// Drain trailing bytes so the digest covers the whole upload.
 	if _, err := io.Copy(io.Discard, hr); err != nil {
 		return err
 	}
 	sp.SetAttr("bytes", hr.BytesRead())
-	sp.SetAttr("refs", int64(refs))
-	rg.seal(hr.Sum(), hr.BytesRead(), refs)
+	sp.SetAttr("refs", int64(count))
+	req.traceDigest, req.traceBytes = hr.Sum(), hr.BytesRead()
+	if hold {
+		req.held = trace.New(held)
+	}
 	return nil
 }
 
-// runStreamJob is the pool task behind a streamed submission: consume
-// the ring into the optimizer's feed, finish, simulate, publish.
-func (s *Server) runStreamJob(poolCtx context.Context, j *Job, req *streamRequest, rg *streamRing) {
-	defer os.Remove(req.spoolPath)
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		rg.fail(errors.New("job canceled before running"))
-		for range rg.chunks {
-		}
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	sp := obs.StartSpan(ctx, "optimize")
-	res, cached, err := s.streamOptimize(ctx, j, req, rg)
-	sp.End()
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	if cached {
-		j.markCached()
-		s.metrics.cacheHits.Inc()
-		s.finish(j, StatusDone, res, nil)
-		return
-	}
-	elapsed := time.Since(start)
-	res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cache.put(ctx, res.Digest, res)
-	s.metrics.latency.With(req.sub.optName).Observe(res.ElapsedMS)
-	s.finish(j, StatusDone, res, nil)
-}
-
-// streamOptimize is the consumer half of a streamed submission: feed
-// chunks into the analysis as they decode, then finish and replay the
-// spool for the before/after miss simulation. It always drains the
-// chunk channel to closure, recycling every buffer, so the producer
-// can never wedge on a full ring.
-func (s *Server) streamOptimize(ctx context.Context, j *Job, req *streamRequest, rg *streamRing) (res *Result, cached bool, err error) {
-	sub := req.sub
-	opt := sub.opt
-	opt.PruneTopN = sub.pruneTopN
+// runOptimize is the one optimization pipeline, the worker half of
+// ingest. It waits for the seal — analyzing the ring's chunks as they
+// arrive, when the upload streams — then analyzes the trace it holds,
+// or the spool when it holds none; replays the trace through the
+// original and optimized layouts for the before/after miss ratios; and
+// retains the trace for /v1/corun and /v1/schedule.
+func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, error) {
+	opt := req.optimizer()
 	opt.Workers = s.cfg.OptWorkers
 	opt.Arena = s.getArena()
 	defer s.putArena(opt.Arena)
 
-	feed, err := opt.NewFeed(ctx, sub.prog)
+	feed, err := s.feedChunks(ctx, opt, req.prog, req.ring.each)
+	if feed != nil {
+		s.metrics.streamJobs.Inc()
+		defer feed.Abort() // a no-op once Finish ran
+	}
+	if err == nil {
+		// Only another owner's finish cancels the job's own context: a
+		// hit at the seal does so before it closes the ring.
+		err = req.ctx.Err()
+	}
 	if err != nil {
-		// Unreachable behind the canStream gate; drain defensively.
-		rg.fail(err)
-		for range rg.chunks {
+		return nil, err
+	}
+	tr := req.held
+	if feed == nil && tr == nil {
+		if tr, err = decodeSpool(ctx, req.spool); err != nil {
+			return nil, err
 		}
-		return nil, false, err
 	}
-	fsp := obs.StartSpan(ctx, "stream.feed")
-	var feedErr error
-	chunks := 0
-	for buf := range rg.chunks {
-		if feedErr == nil {
-			chunks++
-			s.metrics.streamChunks.Inc()
-			if feedErr = feed.Feed(ctx, buf); feedErr != nil {
-				rg.fail(feedErr) // unblock the producer
-			}
+	if feed == nil && opt.FeedSupported(req.prog) {
+		if feed, err = s.feedChunks(ctx, opt, req.prog, heldChunks(tr)); err != nil {
+			return nil, err
 		}
-		rg.recycle(buf)
 	}
-	fsp.SetAttr("chunks", int64(chunks))
-	fsp.End()
-	if feedErr != nil {
-		feed.Abort()
-		return nil, false, feedErr
+	var l *layout.Layout
+	var rep core.Report
+	if feed != nil {
+		l, rep, err = feed.Finish(ctx)
+	} else {
+		l, rep, err = opt.OptimizeCtx(ctx, &core.Profile{Prog: req.prog, Blocks: tr})
 	}
-	sealed, traceDigest, traceBytes, refs, perr := rg.result()
-	if !sealed {
-		feed.Abort()
-		if perr == nil {
-			perr = errors.New("upload aborted")
-		}
-		return nil, false, fmt.Errorf("streamed upload failed: %w", perr)
-	}
-	if refs == 0 {
-		feed.Abort()
-		return nil, false, errors.New("trace is empty")
-	}
-
-	resultKey := resultDigest(traceDigest, sub.progName, sub.optName, sub.pruneTopN)
-	j.setDigest(resultKey)
-	// Content-addressed fast path, post-upload for streamed jobs: the
-	// digest is only known at end-of-stream.
-	if cres, ok := s.cache.get(ctx, resultKey); ok {
-		feed.Abort()
-		return cres, true, nil
-	}
-
-	l, rep, err := feed.Finish(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("job deadline exceeded after optimization: %w", err)
+		return nil, fmt.Errorf("job deadline exceeded after optimization: %w", err)
 	}
-	before, after, err := s.replaySpool(ctx, sub.prog, l, req.spoolPath)
+	src := spoolChunks(req.spool)
+	if tr != nil {
+		src = heldChunks(tr)
+	}
+	before, after, err := replay(ctx, req.prog, l, src)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	s.retainSpool(ctx, traceDigest, req.spoolPath, traceBytes)
+	s.retainSpool(ctx, req.traceDigest, req.spool, req.traceBytes)
 	return &Result{
-		Digest:        resultKey,
-		TraceDigest:   traceDigest,
-		Prog:          sub.progName,
-		Optimizer:     sub.opt.Name(),
+		Digest:        req.digest,
+		TraceDigest:   req.traceDigest,
+		Prog:          req.progName,
+		Optimizer:     req.opt.Name(),
 		Report:        rep,
 		MissBefore:    before,
 		MissAfter:     after,
 		MissReduction: stats.Reduction(before, after),
-	}, false, nil
+	}, nil
 }
 
-// replaySpool re-decodes the spooled container once, feeding the
-// original and optimized layouts' streaming cache simulations in
-// lockstep — the same one-pass bounded-memory discipline as the ingest
-// itself, and the same miss ratios the buffered pipeline reports.
-func (s *Server) replaySpool(ctx context.Context, prog *ir.Program, l *layout.Layout, path string) (before, after float64, err error) {
+// feedChunks runs the feed-mode analysis over src under a stream.feed
+// span. The feed starts with the first chunk, so a source that yields
+// none — the ring of a job that does not stream — returns a nil feed
+// and only the source's error. A feed that fails is aborted.
+func (s *Server) feedChunks(ctx context.Context, opt core.Optimizer, prog *ir.Program, src chunkSource) (*core.Feed, error) {
+	var feed *core.Feed
+	var sp obs.Span
+	var chunks int64
+	err := src(func(c []int32) error {
+		if feed == nil {
+			sp = obs.StartSpan(ctx, "stream.feed")
+			f, err := opt.NewFeed(ctx, prog)
+			if err != nil {
+				return err
+			}
+			feed = f
+		}
+		chunks++
+		s.metrics.streamChunks.Inc()
+		return feed.Feed(ctx, c)
+	})
+	sp.SetAttr("chunks", chunks)
+	sp.End()
+	if err != nil && feed != nil {
+		feed.Abort()
+	}
+	return feed, err
+}
+
+// heldChunks yields a held trace in ring-sized chunks.
+func heldChunks(tr *trace.Trace) chunkSource {
+	return func(fn func([]int32) error) error {
+		for syms := tr.Syms; len(syms) > 0; {
+			n := min(len(syms), streamChunkRefs)
+			if err := fn(syms[:n]); err != nil {
+				return err
+			}
+			syms = syms[n:]
+		}
+		return nil
+	}
+}
+
+// spoolChunks re-decodes the sealed spool one ring-sized chunk at a
+// time.
+func spoolChunks(path string) chunkSource {
+	return func(fn func([]int32) error) error {
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("reopening spool: %w", err)
+		}
+		defer f.Close()
+		dec, err := trace.NewDecoder(f)
+		if err != nil {
+			return err
+		}
+		buf := make([]int32, streamChunkRefs)
+		for {
+			n, err := dec.NextChunk(buf)
+			if n > 0 {
+				if ferr := fn(buf[:n]); ferr != nil {
+					return ferr
+				}
+			}
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// decodeSpool reads the sealed spool back into memory under a
+// trace.decode span: the over-window path of an optimizer that needs
+// the whole trace.
+func decodeSpool(ctx context.Context, path string) (*trace.Trace, error) {
+	sp := obs.StartSpan(ctx, "trace.decode")
+	defer sp.End()
+	var syms []int32
+	err := spoolChunks(path)(func(c []int32) error {
+		syms = append(syms, c...)
+		return nil
+	})
+	sp.SetAttr("refs", int64(len(syms)))
+	return trace.New(syms), err
+}
+
+// replay runs the original and optimized layouts' solo cache
+// simulations in lockstep over src, for the before/after miss ratios.
+func replay(ctx context.Context, prog *ir.Program, l *layout.Layout, src chunkSource) (before, after float64, err error) {
 	sp := obs.StartSpan(ctx, "cachesim.replay")
 	defer sp.End()
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("reopening stream spool: %w", err)
-	}
-	defer f.Close()
-	dec, err := trace.NewDecoder(f)
-	if err != nil {
-		return 0, 0, err
-	}
 	cfg := cachesim.L1IDefault
 	orig := cachesim.NewSoloStream(cfg, layout.Original(prog))
 	opt := cachesim.NewSoloStream(cfg, l)
-	buf := make([]int32, streamChunkRefs)
-	for {
-		n, err := dec.NextChunk(buf)
-		if n > 0 {
-			orig.Feed(buf[:n])
-			opt.Feed(buf[:n])
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, 0, err
-		}
+	if err := src(func(c []int32) error {
+		orig.Feed(c)
+		opt.Feed(c)
+		return nil
+	}); err != nil {
+		return 0, 0, err
 	}
 	ro, rl := orig.Finish(), opt.Finish()
 	sp.SetAttr("blocks", ro.Blocks)
 	return ro.Stats.MissRatio(), rl.Stats.MissRatio(), nil
 }
 
-// retainSpool keeps a streamed trace queryable by digest for the
+// retainSpool keeps a job's trace queryable by digest for the
 // corun/schedule endpoints — in the durable tier, or decoded into the
 // bounded memory tier when there is none — up to a size cap:
 // re-buffering an arbitrarily large spool would defeat the
-// bounded-memory ingest, so huge streamed traces are analyzed but not
-// retained.
+// bounded-memory ingest, so huge traces are analyzed but not retained.
 func (s *Server) retainSpool(ctx context.Context, digest, path string, size int64) {
 	if size > streamRetainMaxBytes {
-		obs.Logger(ctx).Info("streamed trace not retained", "trace_digest", digest, "bytes", size)
+		obs.Logger(ctx).Info("trace not retained", "trace_digest", digest, "bytes", size)
 		return
 	}
 	data, err := os.ReadFile(path)

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
@@ -14,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"codelayout/internal/store"
 )
@@ -31,14 +34,16 @@ func newStreamServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return newTestServer(t, cfg)
 }
 
-// TestStreamedMatchesBuffered is the tentpole oracle at the HTTP
-// layer: the same trace submitted to a streaming server and a buffered
-// server must produce identical results — same content address, same
-// report, same miss ratios — at analysis concurrency 1 and N.
+// TestStreamedMatchesBuffered is the ingest oracle at the HTTP layer:
+// the same trace submitted to a default-window server, which holds it
+// whole, and to a tiny-window one, which analyzes it while it uploads
+// (or, for a non-feed optimizer, decodes its spool after the seal),
+// must produce identical results — same content address, same report,
+// same miss ratios — at analysis concurrency 1 and N.
 func TestStreamedMatchesBuffered(t *testing.T) {
 	raw, _ := recordedTrace(t)
 	for _, workers := range []int{1, 4} {
-		for _, optName := range []string{"func-affinity", "bb-trg"} {
+		for _, optName := range []string{"func-affinity", "bb-trg", "func-cmg"} {
 			t.Run(fmt.Sprintf("%s/workers=%d", optName, workers), func(t *testing.T) {
 				_, buffered := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: workers})
 				_, streamed := newStreamServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: workers})
@@ -78,9 +83,9 @@ func TestStreamedMatchesBuffered(t *testing.T) {
 }
 
 // TestStreamedCacheHit: resubmitting a streamed trace resolves from
-// the content-addressed cache at end-of-stream — the job still runs
-// (the digest is only known once the upload finishes) but completes
-// cached, without recomputing.
+// the content-addressed cache at the seal — the digest is only known
+// once the upload finishes — and the POST itself answers 200 with the
+// cached result, without recomputing.
 func TestStreamedCacheHit(t *testing.T) {
 	raw, _ := recordedTrace(t)
 	_, ts := newStreamServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1})
@@ -93,12 +98,11 @@ func TestStreamedCacheHit(t *testing.T) {
 	if d1.Status != StatusDone || d1.Cached {
 		t.Fatalf("first job %+v", d1)
 	}
-	v2, code := submitRaw(t, ts, raw, query)
-	if code != http.StatusAccepted {
-		t.Fatalf("second submit status %d", code)
+	d2, code := submitRaw(t, ts, raw, query)
+	if code != http.StatusOK {
+		t.Fatalf("second submit status %d, want 200", code)
 	}
-	d2 := waitJob(t, ts, v2.ID)
-	if d2.Status != StatusDone || !d2.Cached {
+	if d2.Status != StatusDone || !d2.Cached || d2.Result == nil {
 		t.Fatalf("second job not served cached: %+v", d2)
 	}
 	if d2.Digest != d1.Digest {
@@ -334,11 +338,10 @@ func TestUploadResumableEndToEnd(t *testing.T) {
 
 	// The chunked path and the one-shot path are the same submission:
 	// same content address, served from cache on resubmit.
-	v2, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-affinity")
-	if code != http.StatusAccepted {
-		t.Fatalf("direct submit status %d", code)
+	d2, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-affinity")
+	if code != http.StatusOK {
+		t.Fatalf("direct submit status %d, want 200", code)
 	}
-	d2 := waitJob(t, ts, v2.ID)
 	if d2.Status != StatusDone || !d2.Cached || d2.Digest != done.Digest {
 		t.Errorf("one-shot submission = %+v, want cached with digest %q", d2, done.Digest)
 	}
@@ -353,8 +356,8 @@ func TestUploadResumableEndToEnd(t *testing.T) {
 }
 
 // TestUploadFinalizeBufferedFallback: an optimizer without feed
-// support still works through the chunked-upload door — the sealed
-// spool is decoded whole and takes the buffered pipeline.
+// support still works through the chunked-upload door — over the
+// window, its worker decodes the sealed spool whole after the seal.
 func TestUploadFinalizeBufferedFallback(t *testing.T) {
 	raw, _ := recordedTrace(t)
 	_, ts := newUploadServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1})
@@ -510,5 +513,184 @@ func TestStreamedTraceRetainedWithoutStore(t *testing.T) {
 	}
 	if done := waitJob(t, ts, v.ID); done.Status != StatusDone || done.Corun == nil {
 		t.Fatalf("corun job: %+v", done)
+	}
+}
+
+// ---- the seal ----
+
+// TestSealHitAnswersPost: on a default-window server, resubmitting a
+// trace that fits the window is answered at the seal. The POST itself
+// returns 200 with the cached result, and no analysis runs: no chunk is
+// fed and the job's trace has no stream.feed span.
+func TestSealHitAnswersPost(t *testing.T) {
+	raw, _ := recordedTrace(t)
+	_, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1, StreamWindow: DefaultStreamWindow})
+	query := "prog=" + testProg + "&opt=func-affinity"
+	v1, code := submitRaw(t, ts, raw, query)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit status %d", code)
+	}
+	if d1 := waitJob(t, ts, v1.ID); d1.Status != StatusDone {
+		t.Fatalf("first job %+v", d1)
+	}
+	chunks := metricValue(t, ts, "layoutd_stream_chunks_total")
+
+	v2, code := submitRaw(t, ts, raw, query)
+	if code != http.StatusOK {
+		t.Fatalf("resubmit status %d, want 200", code)
+	}
+	if v2.Status != StatusDone || !v2.Cached || v2.Result == nil || v2.Digest != v1.Digest {
+		t.Fatalf("resubmit = %+v, want done and cached with the result, digest %s", v2, v1.Digest)
+	}
+	if got := metricValue(t, ts, "layoutd_stream_chunks_total"); got != chunks {
+		t.Errorf("stream_chunks_total moved %v -> %v on a cache hit", chunks, got)
+	}
+	if names := jobSpanNames(t, ts, v2.ID); strings.Contains(strings.Join(names, " "), "stream.feed") {
+		t.Errorf("cache hit fed the analysis: %v", names)
+	}
+}
+
+// jobSpanNames returns the span names of a job's trace timeline.
+func jobSpanNames(t *testing.T, ts *httptest.Server, id string) []string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tv traceView
+	if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil {
+		t.Fatal(err)
+	}
+	return spanNames(tv.Spans)
+}
+
+// TestSealHitWithWorkerStarted: finish has one owner per job. Here the
+// worker has already started — it waits on the ring for the seal —
+// when the seal hits the cache: the handler answers and finishes the
+// job, the worker does no work, and the job is recorded once.
+func TestSealHitWithWorkerStarted(t *testing.T) {
+	raw, _ := recordedTrace(t)
+	s, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1})
+	started := make(chan struct{}, 2)
+	returned := make(chan error, 2)
+	real := s.optimize
+	s.optimize = func(ctx context.Context, req *jobRequest) (*Result, error) {
+		started <- struct{}{}
+		res, err := real(ctx, req)
+		returned <- err
+		return res, err
+	}
+	query := "prog=" + testProg + "&opt=func-affinity"
+	v1, code := submitRaw(t, ts, raw, query)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit status %d", code)
+	}
+	if d1 := waitJob(t, ts, v1.ID); d1.Status != StatusDone {
+		t.Fatalf("first job %+v", d1)
+	}
+	<-started
+	<-returned
+
+	type reply struct {
+		v    jobView
+		code int
+		err  error
+	}
+	replies := make(chan reply, 1)
+	pr, pw := io.Pipe()
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs?"+query, "application/octet-stream", pr)
+		if err != nil {
+			replies <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var v jobView
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		replies <- reply{v: v, code: resp.StatusCode, err: err}
+	}()
+	half := len(raw) / 2
+	if _, err := pw.Write(raw[:half]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started: // the worker is in the pipeline, before the seal
+	case <-time.After(10 * time.Second):
+		pw.CloseWithError(errors.New("test gave up"))
+		t.Fatal("the worker did not start before the seal")
+	}
+	if _, err := pw.Write(raw[half:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	r := <-replies
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.code != http.StatusOK || r.v.Status != StatusDone || !r.v.Cached || r.v.Result == nil {
+		t.Fatalf("resubmit = %d %+v, want 200, done and cached", r.code, r.v)
+	}
+	if err := <-returned; err == nil {
+		t.Error("the worker ran the pipeline for a job answered at the seal")
+	}
+	if names := jobSpanNames(t, ts, r.v.ID); strings.Contains(strings.Join(names, " "), "stream.feed") {
+		t.Errorf("the worker fed the analysis of a job answered at the seal: %v", names)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pool.Running() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker did not return")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if n := debugRingCount(t, s, r.v.ID); n != 1 {
+		t.Errorf("debug ring holds %d summaries of the job, want 1", n)
+	}
+	if got := metricValue(t, ts, "layoutd_cache_hits_total"); got != 1 {
+		t.Errorf("cache_hits_total = %v, want 1", got)
+	}
+	if got := metricValue(t, ts, "layoutd_jobs_failed_total"); got != 0 {
+		t.Errorf("jobs_failed_total = %v, want 0", got)
+	}
+	if got := metricValue(t, ts, "layoutd_jobs_completed_total"); got != 1 {
+		t.Errorf("jobs_completed_total = %v, want 1", got)
+	}
+}
+
+// TestInflightBytesDefaultPath: a default-window job counts its upload
+// size in layoutd_inflight_bytes while it is queued or running, and
+// releases it when done.
+func TestInflightBytesDefaultPath(t *testing.T) {
+	raw, _ := recordedTrace(t)
+	s, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1, StreamWindow: DefaultStreamWindow})
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	real := s.optimize
+	s.optimize = func(ctx context.Context, req *jobRequest) (*Result, error) {
+		started <- struct{}{}
+		<-release
+		return real(ctx, req)
+	}
+	v, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-affinity")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the job never reached the pipeline")
+	}
+	if got := metricValue(t, ts, "layoutd_inflight_bytes"); got != float64(len(raw)) {
+		t.Errorf("inflight_bytes = %v while the job is blocked, want the upload size %d", got, len(raw))
+	}
+	close(release)
+	if done := waitJob(t, ts, v.ID); done.Status != StatusDone {
+		t.Fatalf("job %+v", done)
+	}
+	if got := metricValue(t, ts, "layoutd_inflight_bytes"); got != 0 {
+		t.Errorf("inflight_bytes = %v after the job, want 0", got)
 	}
 }

@@ -5,11 +5,14 @@
 #   1. build layoutd/layoutctl/tracedump,
 #   2. record a trace and tile it with -repeat until the decoded form is
 #      far larger than the daemon's streaming window,
-#   3. start a buffered daemon (-stream-window 0), submit, and keep its
-#      result digest as the oracle,
+#   3. start an oracle daemon whose -stream-window exceeds the decoded
+#      trace, so it holds the trace whole and analyzes it after the seal;
+#      submit, and keep its result (digest, sequence, miss ratios) as the
+#      oracle,
 #   4. start a streaming daemon with a small -stream-window, -upload-dir,
 #      and GOMEMLIMIT well below the decoded trace size; submit the same
 #      trace over a plain streamed POST and require the identical digest,
+#      sequence and miss ratios,
 #   5. check the streaming metrics: at least one streamed job, many
 #      chunks, the buffered-bytes gauge back at zero, and the peak gauge
 #      within the configured window,
@@ -50,8 +53,8 @@ REPEAT=32
 # 256 KiB of decoded trace in flight per streamed submission; the
 # decoded trace itself is ~135x that (REPEAT * 276687 refs * 4 B).
 WINDOW=262144
-# Soft heap bound far below the decoded trace: a buffered submission
-# could not respect this, a streaming one must.
+# Soft heap bound far below the decoded trace: a held submission could
+# not respect this, a streaming one must.
 MEMLIMIT=25MiB
 CHUNK1=4194304
 
@@ -68,6 +71,10 @@ TRACE_BYTES=$(wc -c <"$WORK/t.trace")
     exit 1
 }
 echo "smoke-stream: trace file is $TRACE_BYTES bytes (window $WINDOW)"
+# Every reference takes at least one encoded byte and four decoded ones,
+# so this window holds the whole decoded trace.
+ORACLE_WINDOW=$((4 * TRACE_BYTES))
+command -v jq >/dev/null 2>&1 || { echo "smoke-stream: jq is required" >&2; exit 1; }
 
 fetch() {
     if command -v curl >/dev/null 2>&1; then
@@ -117,13 +124,23 @@ stop_daemon() {
     DAEMON_PID=""
 }
 
-echo "smoke-stream: buffered oracle run (-stream-window 0)"
-start_daemon "-stream-window 0" "$WORK/layoutd-buffered.log" ""
+# layout_of prints the served layout's sequence and miss ratios, the
+# parts of a result that the analysis and the replay compute.
+layout_of() {
+    fetch "$ADDR/v1/layouts/$1" | jq -c '{sequence: .report.Sequence, missBefore, missAfter}'
+}
+
+echo "smoke-stream: held oracle run (-stream-window $ORACLE_WINDOW)"
+start_daemon "-stream-window $ORACLE_WINDOW" "$WORK/layoutd-held.log" ""
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
-    -prog "$PROG" -opt "$OPT" -wait >"$WORK/buffered.json"
-grep -q '"status": "done"' "$WORK/buffered.json"
-DIGEST_BUF=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/buffered.json" | head -1 | cut -d'"' -f4)
-[ -n "$DIGEST_BUF" ] || { echo "smoke-stream: no buffered digest" >&2; exit 1; }
+    -prog "$PROG" -opt "$OPT" -wait >"$WORK/held.json"
+grep -q '"status": "done"' "$WORK/held.json"
+DIGEST_BUF=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/held.json" | head -1 | cut -d'"' -f4)
+[ -n "$DIGEST_BUF" ] || { echo "smoke-stream: no oracle digest" >&2; exit 1; }
+layout_of "$DIGEST_BUF" >"$WORK/held-layout.json"
+jq -e '(.sequence | length) > 0' "$WORK/held-layout.json" >/dev/null
+# The oracle held the trace: nothing streamed through its ring.
+fetch "$ADDR/metrics" | grep -q '^layoutd_stream_jobs_total 0$'
 stop_daemon
 
 echo "smoke-stream: streaming daemon (window $WINDOW, GOMEMLIMIT $MEMLIMIT)"
@@ -137,10 +154,15 @@ grep -q '"status": "done"' "$WORK/streamed.json"
 DIGEST_STREAM=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/streamed.json" | head -1 | cut -d'"' -f4)
 JOB_ID=$(grep -o '"id": "[^"]*"' "$WORK/streamed.json" | head -1 | cut -d'"' -f4)
 [ "$DIGEST_STREAM" = "$DIGEST_BUF" ] || {
-    echo "smoke-stream: streamed digest $DIGEST_STREAM != buffered $DIGEST_BUF" >&2
+    echo "smoke-stream: streamed digest $DIGEST_STREAM != oracle $DIGEST_BUF" >&2
     exit 1
 }
-echo "smoke-stream: streamed digest matches buffered oracle"
+layout_of "$DIGEST_STREAM" >"$WORK/streamed-layout.json"
+cmp -s "$WORK/held-layout.json" "$WORK/streamed-layout.json" || {
+    echo "smoke-stream: streamed sequence or miss ratios differ from the held oracle" >&2
+    exit 1
+}
+echo "smoke-stream: streamed digest, sequence and miss ratios match the held oracle"
 
 echo "smoke-stream: checking streaming metrics"
 fetch "$ADDR/metrics" >"$WORK/metrics1.txt"
@@ -188,7 +210,7 @@ if command -v curl >/dev/null 2>&1; then
     grep -q '"cached": true' "$WORK/resumed.json"
     DIGEST_RESUMED=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/resumed.json" | head -1 | cut -d'"' -f4)
     [ "$DIGEST_RESUMED" = "$DIGEST_BUF" ] || {
-        echo "smoke-stream: resumed digest $DIGEST_RESUMED != buffered $DIGEST_BUF" >&2
+        echo "smoke-stream: resumed digest $DIGEST_RESUMED != oracle $DIGEST_BUF" >&2
         exit 1
     }
     echo "smoke-stream: resumed upload finalized to a cache hit on the same digest"
