@@ -9,6 +9,7 @@ package codelayout
 // cmd/benchtables.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -385,27 +386,35 @@ func phasedBenchTrace() *trace.Trace {
 }
 
 // BenchmarkBuildHierarchyWorkers measures the per-window affinity
-// analysis (wmax=20, the paper's bound) across worker counts; 1 is the
-// serial reference path.
+// analysis (wmax=20, the paper's bound) across worker counts, with a
+// shared Arena as layoutd always passes; 1 is the serial reference path.
 func BenchmarkBuildHierarchyWorkers(b *testing.B) {
 	tt := phasedBenchTrace()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(sprint("workers=", workers), func(b *testing.B) {
+			opt := affinity.Options{WMax: 20, Workers: workers, Arena: &affinity.Arena{}}
 			for i := 0; i < b.N; i++ {
-				affinity.BuildHierarchy(tt, affinity.Options{WMax: 20, Workers: workers})
+				affinity.BuildHierarchy(tt, opt)
 			}
 		})
 	}
 }
 
 // BenchmarkTRGBuildWorkers measures sharded TRG construction across
-// worker counts.
+// worker counts, with a shared Arena that recycles each graph, as
+// layoutd's jobs do.
 func BenchmarkTRGBuildWorkers(b *testing.B) {
 	tt := phasedBenchTrace()
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(sprint("workers=", workers), func(b *testing.B) {
+			arena := &trg.Arena{}
 			for i := 0; i < b.N; i++ {
-				trg.BuildWorkers(tt, 128, workers)
+				g, err := trg.BuildCtx(ctx, tt, 128, workers, arena)
+				if err != nil {
+					b.Fatal(err)
+				}
+				arena.PutGraph(g)
 			}
 		})
 	}

@@ -17,10 +17,11 @@
 // BuildHierarchy is the paper's efficient solution — an LRU stack
 // simulation per window size that records co-occurrence coverage in
 // O(W·N·w) time. The hot path keeps its working set flat (DESIGN.md §9):
-// per-pair histograms live in an open-addressed table with inline
-// counter slabs, per-occurrence partner merging uses an epoch-stamped
-// dense scratch, and an optional Arena recycles every buffer across
-// calls.
+// each block has a coverage row, a small open-addressed table holding
+// per partner the occurrences covered and their largest minimal depth,
+// so one occurrence's updates stay in one cache-resident row;
+// per-occurrence partner merging uses an epoch-stamped dense scratch;
+// and an optional Arena recycles every buffer across calls.
 package affinity
 
 import (
@@ -42,8 +43,8 @@ type Options struct {
 	// Workers bounds the analysis concurrency: 0 means every available
 	// core, 1 pins the serial reference path. The built hierarchy is
 	// byte-identical for every setting — the stack passes shard the
-	// trace with exact LRU warm-up and the per-shard histograms merge
-	// by commutative addition (DESIGN.md §7).
+	// trace with exact LRU warm-up and the per-shard coverage rows merge
+	// by commutative addition and max (DESIGN.md §7).
 	Workers int
 	// Arena recycles the analysis' internal buffers across calls; nil
 	// allocates fresh buffers. It is an execution knob, not a model
@@ -157,10 +158,11 @@ func pairKey(a, b int32) int64 {
 //   - backward pass over the reversed trace: symmetric, covering the
 //     occurrence forward to the next y.
 //
-// Folding the per-occurrence minima into a per-pair histogram yields,
-// for every pair, the smallest w at which all occurrences of both blocks
-// are covered — i.e. the level where the pair becomes affine. Total cost
-// is O(N·wmax) time, matching the paper's "efficient solution" in §II-B.
+// Folding the per-occurrence minima into each block's row — per partner,
+// the occurrences covered and the largest of their minima — yields, for
+// every pair, the smallest w at which all occurrences of both blocks are
+// covered — i.e. the level where the pair becomes affine. Total cost is
+// O(N·wmax) time, matching the paper's "efficient solution" in §II-B.
 func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 	h, _ := BuildHierarchyCtx(context.Background(), t, opt)
 	return h
@@ -349,8 +351,8 @@ const cancelCheckMask = 0x3FFF
 // independent pair of passes per shard; each shard warms its LRU stack
 // by replaying just enough of the neighboring trace that its top-wmax
 // stack views equal the full-trace simulation, so the per-shard
-// histograms sum to exactly the serial result. Shard tables merge
-// slab-to-slab into the first shard's table.
+// coverage rows merge to exactly the serial result. Shard rows merge
+// row by row into the first shard's.
 func pairMinWindowsStack(ctx context.Context, tt *trace.Trace, wmax, workers int, arena *Arena) (*flathash.Sum64, error) {
 	n := len(tt.Syms)
 	maxSym := tt.MaxSym()
@@ -371,46 +373,53 @@ func pairMinWindowsStack(ctx context.Context, tt *trace.Trace, wmax, workers int
 		}
 		return nil, err
 	}
-	pairs := &states[0].pairs
-	for _, st := range states[1:] {
-		pairs.MergeFrom(&st.pairs)
-	}
-
-	minW := reduceMinW(pairs, occCount, wmax, arena)
+	minW := reduceMinW(states, occCount, arena)
 	for _, st := range states {
 		arena.putShard(st)
 	}
 	return minW, nil
 }
 
-// reduceMinW folds the merged per-pair coverage histograms into the
-// minimal-affine-window table: for each pair, the smallest w at which
-// every occurrence of both symbols is covered. Shared by the buffered
-// build and the streaming Feeder — the histograms sum identically over
-// any contiguous sharding, so both paths reduce to the same table.
-func reduceMinW(pairs *flathash.Slab32, occCount []int64, wmax int, arena *Arena) *flathash.Sum64 {
+// reduceMinW merges the shards' coverage rows, in trace order, into the
+// first shard's and folds them into the minimal-affine-window table: a
+// pair {x, y} becomes affine at the larger of its two rows' depths once
+// y covers every occurrence of x and x every occurrence of y. That is
+// the smallest w at which the per-occurrence coverage histograms of both
+// symbols reach their occurrence counts: when a histogram sums to the
+// count, its cumulative sum first reaches the count at its largest
+// non-empty depth. Shared by the buffered build and the streaming
+// Feeder — counts sum and depths take the max over any contiguous
+// sharding, so both paths reduce to the same table.
+func reduceMinW(states []*shardState, occCount []int64, arena *Arena) *flathash.Sum64 {
+	rows := &states[0].rows
+	for _, st := range states[1:] {
+		rows.MergeFrom(&st.rows, mergeCover)
+	}
 	minW := arena.getMinW()
-	pairs.ForEach(func(key int64, counts []uint32) {
-		x := int32(key >> 32)
-		y := int32(key & 0xffffffff)
-		wx := fullCoverageW(counts[:wmax+1], occCount[x])
-		wy := fullCoverageW(counts[wmax+1:], occCount[y])
-		if wx < 0 || wy < 0 {
-			return // some occurrence is never covered within wmax
+	for x := int32(0); x < int32(rows.NumRows()); x++ {
+		for _, e := range rows.Row(x) {
+			y := e.Partner
+			if y <= x || int64(e.Val.count) != occCount[x] {
+				continue // empty slot, pair visited from y's row, or x not covered
+			}
+			back, _ := rows.Get(y, x)
+			if int64(back.count) != occCount[y] {
+				continue
+			}
+			// Depths are at least 2, so 0 (the table's absent value)
+			// keeps meaning "never affine".
+			minW.Set(pairKey(x, y), int64(max(e.Val.depth, back.depth)))
 		}
-		// Values are the minimal affine window, always >= 1, so 0 (the
-		// table's absent value) keeps meaning "never affine".
-		minW.Set(key, int64(max(wx, wy)))
-	})
+	}
 	return minW
 }
 
 // shardPairHists runs the two stack passes over positions [lo, hi) and
-// accumulates the shard's per-pair coverage histograms into st.pairs:
-// counts[dir*(wmax+1)+d] counts occurrences of the dir-side symbol whose
-// minimal coverage footprint is d.
+// accumulates the shard's coverage into st.rows: for each occurrence of
+// x and each partner y within wmax, row x, partner y counts the
+// occurrence and keeps the max of its minimal coverage depths.
 func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym int32, wmax, lo, hi int) error {
-	st.prepare(maxSym, 2*(wmax+1))
+	st.prepare(maxSym, wmax)
 
 	// Pass 1 (forward): snapshot for each position the top wmax of the
 	// LRU stack straight into the span buffer, in depth order. Entry 0 of
@@ -431,9 +440,6 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 	} else {
 		st.partnerSym = st.partnerSym[:0]
 	}
-	if cap(st.topk) < wmax {
-		st.topk = make([]int32, 0, wmax)
-	}
 	st.stack.Reset(maxSym)
 	stack := &st.stack
 	for i := st.warmBeforeScratch(syms, lo, wmax); i < lo; i++ {
@@ -453,7 +459,7 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 
 	// Pass 2 (backward, over the reversed trace): merge forward coverage
 	// with pass 1's backward coverage per occurrence, and fold minima
-	// into the per-pair histograms. The warm-up replays, in reverse
+	// into the occurrence's own row. The warm-up replays, in reverse
 	// order, the span holding the first wmax distinct symbols at or
 	// after hi. The merge scratch is the epoch-stamped dense array of
 	// shardState: one load and store per partner instead of a linear
@@ -462,7 +468,6 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 	for i := st.warmAfterScratch(syms, hi, wmax) - 1; i >= hi; i-- {
 		stack.Access(syms[i])
 	}
-	stride := wmax + 1
 	for i := hi - 1; i >= lo; i-- {
 		if i&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
@@ -476,18 +481,17 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 		// backward-coverage depth 2.
 		base := st.offsets[i-lo]
 		for k, y := range st.partnerSym[base+1 : st.offsets[i-lo+1]] {
-			st.add(y, uint8(k+2))
+			st.add(y, k+2)
 		}
 		st.topk = stack.AppendTopK(st.topk[:0], wmax)
 		for d := 1; d < len(st.topk); d++ {
-			st.add(st.topk[d], uint8(d+1))
+			st.add(st.topk[d], d+1)
 		}
+		row := st.rows.Cursor(cur)
 		for _, y := range st.touched {
-			slot := st.depthOf(y)
-			if cur > y {
-				slot += stride
-			}
-			st.pairs.Inc(pairKey(cur, y), slot)
+			c := row.Ref(y)
+			c.count++
+			c.depth = max(c.depth, st.depthOf(y))
 		}
 	}
 	return nil
@@ -523,20 +527,6 @@ func warmAfter(syms []int32, hi, need int) int {
 		q++
 	}
 	return q
-}
-
-// fullCoverageW returns the smallest w such that the cumulative count of
-// occurrences with minimal footprint <= w reaches total, or -1 if the
-// histogram never reaches total.
-func fullCoverageW(counts []uint32, total int64) int {
-	var cum int64
-	for d := 0; d < len(counts); d++ {
-		cum += int64(counts[d])
-		if cum == total {
-			return d
-		}
-	}
-	return -1
 }
 
 // newHierarchyShell prepares the hierarchy with the w=1 partition

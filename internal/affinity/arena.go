@@ -9,7 +9,7 @@ import (
 
 // Arena recycles the analysis' internal buffers across BuildHierarchy
 // calls: per-shard LRU stacks, partner lists, epoch-stamped scratch and
-// the flat pair-histogram tables. A long-lived caller (layoutd running
+// the coverage rows. A long-lived caller (layoutd running
 // repeated optimization jobs) holds one Arena and passes it through
 // Options; after the first few calls warm the pools, the stack-pass
 // kernel allocates nothing per job. The zero value is ready to use and
@@ -73,19 +73,39 @@ type shardState struct {
 	// sd/touched form the epoch-stamped dense merge scratch indexed by
 	// symbol (the footprint.Scratch trick): merging a partner is one load
 	// and store instead of a linear scan over the merged set. Each sd
-	// entry packs epoch<<8 | depth so the stamp check and the depth
-	// compare touch a single word.
+	// entry packs epoch<<32 | depth so the stamp check and the depth
+	// compare touch a single word, for any window size.
 	sd      []int64
 	touched []int32
 	epoch   int32
 
-	// pairs is the shard's flat pair-histogram table.
-	pairs flathash.Slab32
+	// rows is the shard's coverage: row x, partner y holds how many of
+	// x's occurrences y covers within wmax, and the largest of their
+	// minimal coverage depths.
+	rows flathash.Rows[cover]
 }
 
+// cover is one directed row entry of the coverage rows.
+type cover struct {
+	count uint32 // occurrences of the row symbol the partner covers
+	depth uint32 // the largest minimal coverage depth among them
+}
+
+// mergeCover folds one shard's coverage of a pair into another's: counts
+// add and depths take the max, so any contiguous sharding sums to the
+// serial rows.
+func mergeCover(dst *cover, src cover) {
+	dst.count += src.count
+	dst.depth = max(dst.depth, src.depth)
+}
+
+// depthMask selects the depth half of an sd entry; the epoch stamp
+// fills the upper 32 bits.
+const depthMask = 1<<32 - 1
+
 // prepare sizes the scratch for a trace with symbols in [0, maxSym] and
-// clears the pair table for stride counters per pair.
-func (st *shardState) prepare(maxSym int32, stride int) {
+// windows of up to wmax, and clears the coverage rows.
+func (st *shardState) prepare(maxSym int32, wmax int) {
 	n := int(maxSym) + 1
 	if cap(st.sd) < n {
 		st.sd = make([]int64, n)
@@ -94,8 +114,11 @@ func (st *shardState) prepare(maxSym int32, stride int) {
 	} else {
 		st.sd = st.sd[:n]
 	}
+	if cap(st.topk) < wmax {
+		st.topk = make([]int32, 0, wmax)
+	}
 	st.touched = st.touched[:0]
-	st.pairs.Init(stride)
+	st.rows.Reset(n)
 }
 
 // bumpEpoch invalidates the merge scratch in O(1); on int32 wrap-around
@@ -114,11 +137,11 @@ func (st *shardState) bumpEpoch() {
 
 // add merges partner sym with coverage depth d into the occurrence's
 // scratch set, keeping the minimum depth per partner.
-func (st *shardState) add(sym int32, d uint8) {
-	e := int64(st.epoch) << 8
+func (st *shardState) add(sym int32, d int) {
+	e := int64(st.epoch) << 32
 	v := st.sd[sym]
-	if v&^0xff == e {
-		if int64(d) < v&0xff {
+	if v&^depthMask == e {
+		if int64(d) < v&depthMask {
 			st.sd[sym] = e | int64(d)
 		}
 		return
@@ -129,21 +152,21 @@ func (st *shardState) add(sym int32, d uint8) {
 
 // depthOf returns the merged minimum depth recorded for sym in the
 // current epoch; sym must have been added this epoch.
-func (st *shardState) depthOf(sym int32) int {
-	return int(uint8(st.sd[sym]))
+func (st *shardState) depthOf(sym int32) uint32 {
+	return uint32(st.sd[sym])
 }
 
 // warmBeforeScratch is warmBefore using the epoch scratch instead of a
 // per-call map, so pooled shards warm up without allocating.
 func (st *shardState) warmBeforeScratch(syms []int32, lo, need int) int {
 	st.bumpEpoch()
-	e := int64(st.epoch) << 8
+	e := int64(st.epoch) << 32
 	count := 0
 	p := lo
 	for p > 0 && count < need {
 		p--
 		s := syms[p]
-		if st.sd[s]&^0xff != e {
+		if st.sd[s]&^depthMask != e {
 			st.sd[s] = e
 			count++
 		}
@@ -154,12 +177,12 @@ func (st *shardState) warmBeforeScratch(syms []int32, lo, need int) int {
 // warmAfterScratch is warmAfter on the epoch scratch.
 func (st *shardState) warmAfterScratch(syms []int32, hi, need int) int {
 	st.bumpEpoch()
-	e := int64(st.epoch) << 8
+	e := int64(st.epoch) << 32
 	count := 0
 	q := hi
 	for q < len(syms) && count < need {
 		s := syms[q]
-		if st.sd[s]&^0xff != e {
+		if st.sd[s]&^depthMask != e {
 			st.sd[s] = e
 			count++
 		}

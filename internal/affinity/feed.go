@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"codelayout/internal/flathash"
 	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
 )
@@ -17,10 +18,11 @@ const defaultFeedShardSpan = 1 << 16
 // that arrives in chunks — layoutd feeding decoded upload chunks into
 // the kernel while the rest of the trace is still on the network. It
 // produces a Hierarchy byte-identical to BuildHierarchyCtx over the
-// concatenated input: the per-shard coverage histograms sum exactly for
-// ANY contiguous sharding (the PR 1 determinism invariant), so shards
-// cut at arrival-dictated boundaries merge to the same minimal-window
-// table the buffered build computes.
+// concatenated input: the per-shard coverage rows merge exactly for ANY
+// contiguous sharding — counts add, depths take the max (the sharded-merge
+// determinism invariant, DESIGN.md §7) — so shards cut at arrival-dictated
+// boundaries merge to the same minimal-window table the buffered build
+// computes.
 //
 // The feeder keeps a single slab: the undispatched body plus just
 // enough preceding context for the next shard's warm-up replay. When
@@ -215,37 +217,41 @@ func (f *Feeder) dispatch(hi int) error {
 
 // Finish seals the stream: the remaining body becomes the last shard
 // (its backward warm-up span ends at the true trace end, like the last
-// buffered chunk's), every shard's histograms merge in trace order, and
-// the hierarchy is built exactly as BuildHierarchyCtx builds it.
+// buffered chunk's), every shard's coverage rows merge in trace order,
+// and the hierarchy is built exactly as BuildHierarchyCtx builds it.
 func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
 	sp.SetAttr("trace_len", int64(f.n))
 	sp.SetAttr("wmax", int64(f.wmax))
-	if f.err == nil && f.body < len(f.slab) {
-		f.dispatchFinal()
-	}
-	if err := f.pool.Wait(); err != nil {
-		f.release()
-		return nil, err
-	}
-	if err := f.err; err != nil {
-		f.release()
+	minW, err := f.minWindows()
+	if err != nil {
 		return nil, err
 	}
 	h := newHierarchyShellFrom(f.firstOcc, f.occCount, f.order, f.wmax)
-	if len(f.states) == 0 {
+	if minW == nil {
 		return h, nil // empty trace: the shell is the whole answer
 	}
-	pairs := &f.states[0].pairs
-	for _, st := range f.states[1:] {
-		pairs.MergeFrom(&st.pairs)
-	}
-	minW := reduceMinW(pairs, f.occCount, f.wmax, f.arena)
 	buildLevels(h, f.wmax, minW)
 	f.arena.putMinW(minW)
-	f.release()
 	return h, nil
+}
+
+// minWindows seals the stream and returns the minimal-window table
+// pairMinWindowsStack computes for the concatenated input, or nil for
+// an empty trace. The shards go back to the arena either way.
+func (f *Feeder) minWindows() (*flathash.Sum64, error) {
+	if f.err == nil && f.body < len(f.slab) {
+		f.dispatchFinal()
+	}
+	defer f.release()
+	if err := f.pool.Wait(); err != nil {
+		return nil, err
+	}
+	if f.err != nil || len(f.states) == 0 {
+		return nil, f.err
+	}
+	return reduceMinW(f.states, f.occCount, f.arena), nil
 }
 
 func (f *Feeder) dispatchFinal() {

@@ -64,92 +64,125 @@ func TestSum64Reset(t *testing.T) {
 	}
 }
 
-func TestSlab32MatchesMap(t *testing.T) {
-	const stride = 6
-	rng := rand.New(rand.NewSource(2))
-	var tab Slab32
-	tab.Init(stride)
-	ref := make(map[int64][]uint32)
-	for i := 0; i < 20000; i++ {
-		a, b := int32(rng.Intn(150)), int32(rng.Intn(150))
-		if a == b {
-			b = a + 1
-		}
-		k := pairKey(a, b)
-		d := rng.Intn(stride)
-		tab.Counters(k)[d]++
-		if ref[k] == nil {
-			ref[k] = make([]uint32, stride)
-		}
-		ref[k][d]++
+// rowKey is one (row, partner) coordinate of a Rows table.
+type rowKey struct{ row, partner int32 }
+
+// fillRows adds n random deltas over 150 rows of up to 600 partners,
+// the way the kernels accumulate, into t (reset to 150 rows) and into a
+// map reference.
+func fillRows(t *Rows[int64], rng *rand.Rand, n int, ref map[rowKey]int64) {
+	t.Reset(150)
+	for i := 0; i < n; i++ {
+		k := rowKey{int32(rng.Intn(150)), int32(rng.Intn(600))}
+		d := int64(rng.Intn(5) + 1)
+		*t.Ref(k.row, k.partner) += d
+		ref[k] += d
 	}
+}
+
+// checkRows requires t to hold exactly ref.
+func checkRows(t *testing.T, tab *Rows[int64], ref map[rowKey]int64) {
+	t.Helper()
 	if tab.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", tab.Len(), len(ref))
 	}
 	for k, want := range ref {
-		got := tab.Lookup(k)
-		if got == nil {
-			t.Fatalf("Lookup(%d) = nil", k)
+		if got, ok := tab.Get(k.row, k.partner); !ok || got != want {
+			t.Fatalf("Get(%d, %d) = %d, %v; want %d", k.row, k.partner, got, ok, want)
 		}
-		for d := range want {
-			if got[d] != want[d] {
-				t.Fatalf("counters(%d)[%d] = %d, want %d", k, d, got[d], want[d])
+	}
+	seen := 0
+	for r := int32(0); r < int32(tab.NumRows()); r++ {
+		for _, e := range tab.Row(r) {
+			if e.Partner < 0 {
+				continue
 			}
+			if want := ref[rowKey{r, e.Partner}]; e.Val != want {
+				t.Fatalf("Row(%d) partner %d = %d, want %d", r, e.Partner, e.Val, want)
+			}
+			seen++
 		}
 	}
-	if tab.Lookup(pairKey(300, 301)) != nil {
-		t.Fatal("Lookup of absent key returned a block")
+	if seen != len(ref) {
+		t.Fatalf("Row visited %d entries, want %d", seen, len(ref))
 	}
 }
 
-func TestSlab32MergeFrom(t *testing.T) {
-	const stride = 4
-	var a, b Slab32
-	a.Init(stride)
-	b.Init(stride)
-	a.Counters(pairKey(1, 2))[0] = 5
-	a.Counters(pairKey(1, 3))[1] = 1
-	b.Counters(pairKey(1, 2))[0] = 2
-	b.Counters(pairKey(1, 2))[3] = 9
-	b.Counters(pairKey(4, 5))[2] = 7
-	a.MergeFrom(&b)
-	if got := a.Lookup(pairKey(1, 2)); got[0] != 7 || got[3] != 9 {
-		t.Fatalf("merged (1,2) = %v", got)
+func TestRowsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var tab Rows[int64]
+	ref := make(map[rowKey]int64)
+	fillRows(&tab, rng, 40000, ref)
+	checkRows(t, &tab, ref)
+	if _, ok := tab.Get(3, 5000); ok {
+		t.Fatal("Get of an absent partner reported present")
 	}
-	if got := a.Lookup(pairKey(1, 3)); got[1] != 1 {
-		t.Fatalf("merged (1,3) = %v", got)
+	if _, ok := tab.Get(500, 1); ok {
+		t.Fatal("Get beyond NumRows reported present")
 	}
-	if got := a.Lookup(pairKey(4, 5)); got[2] != 7 {
-		t.Fatalf("merged (4,5) = %v", got)
+	if _, ok := tab.Get(-1, 1); ok {
+		t.Fatal("Get of a negative row reported present")
 	}
-	if a.Len() != 3 {
-		t.Fatalf("merged Len = %d, want 3", a.Len())
+	if _, ok := tab.Get(3, -1); ok {
+		t.Fatal("Get of a negative partner reported present")
 	}
-}
-
-func TestSlab32InitReuse(t *testing.T) {
-	var tab Slab32
-	tab.Init(3)
-	tab.Counters(pairKey(1, 2))[2] = 42
-	tab.Init(3)
-	if tab.Len() != 0 {
-		t.Fatal("Init did not clear the table")
-	}
-	// The reused slab must come back zeroed.
-	if got := tab.Counters(pairKey(1, 2)); got[0] != 0 || got[1] != 0 || got[2] != 0 {
-		t.Fatalf("reused slab not zeroed: %v", got)
+	tab.Extend(200)
+	checkRows(t, &tab, ref)
+	*tab.Ref(199, 7) += 3
+	if got, ok := tab.Get(199, 7); !ok || got != 3 {
+		t.Fatalf("Get on an extended row = %d, %v; want 3", got, ok)
 	}
 }
 
-// TestSlab32SteadyStateAllocs: after warm-up, re-accumulating into an
-// Init-cleared table allocates nothing.
-func TestSlab32SteadyStateAllocs(t *testing.T) {
-	var tab Slab32
+func TestRowsMergeFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var a, b Rows[int64]
+	ref := make(map[rowKey]int64)
+	fillRows(&a, rng, 20000, ref)
+	fillRows(&b, rng, 30000, ref)
+	b.Extend(180)
+	*b.Ref(170, 2) += 9
+	ref[rowKey{170, 2}] += 9
+	a.MergeFrom(&b, func(dst *int64, src int64) { *dst += src })
+	checkRows(t, &a, ref)
+}
+
+// TestRowsStorageBound: however the tables grow, the backing slice holds
+// at most twice the slots of the live tables, and a reset table regrows
+// without allocating.
+func TestRowsStorageBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var tab Rows[int64]
+	tab.Reset(300)
+	for i := 0; i < 100000; i++ {
+		// Skewed rows: a few grow large while most stay small.
+		row := int32(rng.Intn(300) * rng.Intn(300) / 300)
+		*tab.Ref(row, int32(rng.Intn(5000)))++
+		if cap(tab.slots) > 2*tab.live {
+			t.Fatalf("after %d inserts: %d slots held for %d live", i+1, cap(tab.slots), tab.live)
+		}
+	}
+	live := 0
+	for _, h := range tab.heads {
+		if h.bits != 0 {
+			live += 1 << h.bits
+		}
+	}
+	if live != tab.live {
+		t.Fatalf("live = %d, tables hold %d", tab.live, live)
+	}
+	t.Logf("%d entries in %d live slots, %d held (%d bytes)", tab.Len(), tab.live, cap(tab.slots), tab.Bytes())
+}
+
+// TestRowsSteadyStateAllocs: after warm-up, re-accumulating into a
+// Reset table allocates nothing, compactions included.
+func TestRowsSteadyStateAllocs(t *testing.T) {
+	var tab Rows[int64]
 	fill := func() {
-		tab.Init(8)
+		tab.Reset(64)
 		for a := int32(0); a < 64; a++ {
-			for b := a + 1; b < 64; b += 3 {
-				tab.Counters(pairKey(a, b))[int(b)%8]++
+			for b := int32(0); b < 64*int32(a%7+1); b += 3 {
+				*tab.Ref(a, b) += int64(b)
 			}
 		}
 	}
@@ -180,12 +213,19 @@ func (t *Sum64) maxProbe() int {
 	return maxProbe(keys, t.shift)
 }
 
-func (t *Slab32) maxProbe() int {
-	keys := make([]int64, len(t.entries))
-	for i, e := range t.entries {
-		keys[i] = e.key
+// maxProbe is the longest probe over every row's table.
+func (t *Rows[V]) maxProbe() int {
+	longest := 0
+	for r, h := range t.heads {
+		tab := t.Row(int32(r))
+		mask := uint32(len(tab) - 1)
+		for i, e := range tab {
+			if e.Partner >= 0 {
+				longest = max(longest, int((uint32(i)-rowHash(e.Partner, h.bits))&mask))
+			}
+		}
 	}
-	return maxProbe(keys, t.shift)
+	return longest
 }
 
 // mergeKeys is the clustering fixture: 200k distinct pair keys, the size
@@ -249,34 +289,29 @@ func TestMergeFromKeepsProbesShort(t *testing.T) {
 			}
 		}
 	})
-	t.Run("Slab32", func(t *testing.T) {
-		const stride = 3
-		var src Slab32
-		src.Init(stride)
-		src.rehash(1 << 19)
+	t.Run("Rows", func(t *testing.T) {
+		// One row per symbol, as the kernels keep them: each pair key
+		// becomes an entry in the smaller symbol's row. Rows of up to
+		// 4000 partners stand in for the hash range the pair tables
+		// share.
+		var src Rows[int64]
+		src.Reset(4000)
 		for i, k := range keys {
-			src.Counters(k)[i%stride] += uint32(i + 1)
+			*src.Ref(int32(k>>32), int32(k)) += int64(i + 1)
 		}
-		var dst Slab32
-		dst.Init(stride)
-		dst.MergeFrom(&src)
+		var dst Rows[int64]
+		merge := func(d *int64, s int64) { *d += s }
+		dst.MergeFrom(&src, merge)
 		if got := dst.maxProbe(); got > mergeProbeBound {
 			t.Fatalf("longest probe after merge = %d slots, want <= %d", got, mergeProbeBound)
 		}
-		dst.MergeFrom(&src)
+		dst.MergeFrom(&src, merge)
 		if dst.Len() != len(keys) {
 			t.Fatalf("Len = %d, want %d", dst.Len(), len(keys))
 		}
 		for i, k := range keys {
-			got := dst.Lookup(k)
-			for d := range got {
-				want := uint32(0)
-				if d == i%stride {
-					want = 2 * uint32(i+1)
-				}
-				if got[d] != want {
-					t.Fatalf("Lookup(%d)[%d] = %d, want %d", k, d, got[d], want)
-				}
+			if got, _ := dst.Get(int32(k>>32), int32(k)); got != 2*int64(i+1) {
+				t.Fatalf("Get(%d) = %d, want %d", k, got, 2*int64(i+1))
 			}
 		}
 	})

@@ -173,9 +173,10 @@ func (f *Feeder) dispatch(hi int) error {
 }
 
 // Finish seals the stream: the remaining body becomes the last shard,
-// and the partial graphs merge in trace order into a graph from the
-// arena — edge weights sum and node lists concatenate, reproducing the
-// global first-occurrence node order exactly as BuildCtx's merge does.
+// and the later shards' partial graphs merge in trace order into the
+// first's — rows add row by row and node lists concatenate, reproducing
+// the global first-occurrence node order exactly as BuildCtx's merge
+// does.
 // The caller owns the returned graph (recycle it via Arena.PutGraph).
 func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 	if f.err == nil && f.body < len(f.slab) {
@@ -211,12 +212,11 @@ func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 		f.release()
 		return g, nil
 	}
+	// As in BuildCtx, the first shard's partial graph becomes the result.
+	g, f.states[0].g = f.states[0].g, g
 	g.ensureSym(f.maxSym)
-	for _, st := range f.states {
-		for _, s := range st.g.nodes {
-			g.AddNode(s)
-		}
-		g.weights.MergeFrom(&st.g.weights)
+	for _, st := range f.states[1:] {
+		g.merge(st.g)
 	}
 	f.release()
 	return g, nil

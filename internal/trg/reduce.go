@@ -62,8 +62,8 @@ type reducer struct {
 	sym   []int32 // node -> symbol
 	slots int     // the slots that can ever fill: min(k, nodes)
 
-	// off/nbr/nw is the graph's adjacency in CSR form: node u's
-	// neighbours are nbr[off[u]:off[u+1]] with weights nw.
+	// off/nbr/nw is the graph's adjacency in CSR form, built from its
+	// rows: node u's neighbours are nbr[off[u]:off[u+1]] with weights nw.
 	off []int32
 	nbr []int32
 	nw  []int64
@@ -87,8 +87,9 @@ type reducer struct {
 	near    [][]int32
 	used    int
 
-	// The edge stream: the graph's edges sorted once, merged with a heap
-	// of the entries merges refresh.
+	// The edge stream: the graph's edges in stream order, put there
+	// once by counting and radix sorts, merged with a heap of the
+	// entries merges refresh.
 	sorted []entry
 	next   int
 	heap   []entry
@@ -129,39 +130,128 @@ func newReducer(g *Graph, k int) *reducer {
 		node[s] = int32(i)
 		r.slotOf[i] = -1
 	}
-	r.sorted = make([]entry, 0, g.weights.Len())
-	g.forEachEdge(func(a, b int32, w int64) {
-		e := entry{w: w, key: pairKey(a, b), a: node[a], b: node[b]}
-		r.sorted = append(r.sorted, e)
+	edges := g.keyedEdges(node)
+	for _, e := range edges {
 		r.free[e.a]++
 		r.free[e.b]++
-	})
+	}
 	for u, d := range r.free {
 		r.off[u+1] = r.off[u] + d
 		if d > 0 {
 			r.linked++
 		}
 	}
-	r.nbr = make([]int32, 2*len(r.sorted))
-	r.nw = make([]int64, 2*len(r.sorted))
+	r.nbr = make([]int32, 2*len(edges))
+	r.nw = make([]int64, 2*len(edges))
 	fill := slices.Clone(r.off[:n])
-	for _, e := range r.sorted {
+	for _, e := range edges {
 		r.nbr[fill[e.a]], r.nw[fill[e.a]] = e.b, e.w
 		fill[e.a]++
 		r.nbr[fill[e.b]], r.nw[fill[e.b]] = e.a, e.w
 		fill[e.b]++
 	}
-	slices.SortFunc(r.sorted, func(x, y entry) int {
-		if before(x, y) {
-			return -1
-		}
-		if before(y, x) {
-			return 1
-		}
-		return 0
-	})
+	r.sorted = heaviestFirst(edges)
 	r.w = make([]int64, n*slots)
 	return r
+}
+
+// keyedEdges returns the graph's edges in ascending pair-key order, as
+// stream entries over the dense node indices node. Two stable counting
+// sorts of the directed row entries, by larger symbol and then by
+// smaller, order them by pair key and put each edge's two directions
+// side by side, where they add up: O(entries + symbols), no comparisons.
+// Rows are visited in symbol order, so an entry in the larger symbol's
+// row is already in place for the first sort; only the entries from
+// the smaller symbol's row are bucketed.
+func (g *Graph) keyedEdges(node []int32) []entry {
+	nsym := int32(g.rows.NumRows())
+	up := make([]int32, nsym+1)   // entries a->b with a < b, by b
+	byLo := make([]int32, nsym+1) // all entries, by smaller symbol
+	for a := int32(0); a < nsym; a++ {
+		for _, e := range g.rows.Row(a) {
+			if b := e.Partner; b > a {
+				up[b+1]++
+				byLo[a+1]++
+			} else if b >= 0 {
+				byLo[b+1]++
+			}
+		}
+	}
+	for s := int32(1); s <= nsym; s++ {
+		up[s] += up[s-1]
+		byLo[s] += byLo[s-1]
+	}
+	from := make([]int32, up[nsym])
+	w := make([]int64, up[nsym])
+	for a := int32(0); a < nsym; a++ {
+		for _, e := range g.rows.Row(a) {
+			if b := e.Partner; b > a {
+				from[up[b]], w[up[b]] = a, e.Val
+				up[b]++
+			}
+		}
+	}
+	// up[b] now ends b's bucket. For each larger symbol h in order,
+	// deal out its bucket and its own row's entries by smaller symbol.
+	edges := make([]entry, byLo[nsym])
+	put := func(l, h int32, w int64) {
+		edges[byLo[l]] = entry{w: w, key: pairKey(l, h), a: node[l], b: node[h]}
+		byLo[l]++
+	}
+	start := int32(0)
+	for h := int32(0); h < nsym; h++ {
+		for i := start; i < up[h]; i++ {
+			put(from[i], h, w[i])
+		}
+		start = up[h]
+		for _, e := range g.rows.Row(h) {
+			if l := e.Partner; l >= 0 && l < h {
+				put(l, h, e.Val)
+			}
+		}
+	}
+	out := edges[:0]
+	for i := 0; i < len(edges); i++ {
+		e := edges[i]
+		if i+1 < len(edges) && edges[i+1].key == e.key {
+			i++
+			e.w += edges[i].w
+		}
+		if e.w != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// heaviestFirst orders edges, given in ascending key order, by weight,
+// heaviest first, keeping key order among equal weights: a stable LSD
+// radix sort on the weight's bytes, each pass bucketing by the byte's
+// complement. Weights are positive.
+func heaviestFirst(edges []entry) []entry {
+	var top int64
+	for _, e := range edges {
+		top = max(top, e.w)
+	}
+	buf := make([]entry, len(edges))
+	for shift := 0; shift < 64 && top>>shift > 0; shift += 8 {
+		var pos [256]int
+		for _, e := range edges {
+			pos[255-byte(e.w>>shift)]++
+		}
+		sum := 0
+		for d, c := range pos {
+			pos[d] = sum
+			sum += c
+		}
+		for _, e := range edges {
+			d := 255 - byte(e.w>>shift)
+			buf[pos[d]] = e
+			pos[d]++
+		}
+		edges, buf = buf, edges
+	}
+	return edges
 }
 
 // cell returns the weight of the edge between node u and slot s's node.

@@ -11,10 +11,14 @@
 // twice the cache size).
 //
 // The construction's hot path mirrors the affinity analysis (DESIGN.md
-// §9): edge weights accumulate in an open-addressed flat table instead of
-// a Go map, the per-access interleaving scan snapshots the LRU stack
-// prefix into a reusable buffer instead of paying a callback per element,
-// and an optional Arena recycles all per-shard state across builds.
+// §9): each block has a row, a small open-addressed table counting its
+// interleavings per partner, so one access's updates stay in one
+// cache-resident row and an edge weighs the sum of its two directions;
+// the per-access interleaving scan snapshots the LRU stack prefix into a
+// reusable buffer instead of paying a callback per element; and an
+// optional Arena recycles all per-shard state across builds. The
+// reduction reads its adjacency and its edge order straight from the
+// rows.
 package trg
 
 import (
@@ -28,9 +32,13 @@ import (
 	"codelayout/internal/trace"
 )
 
-// Graph is a weighted undirected temporal relationship graph.
+// Graph is a weighted undirected temporal relationship graph. It keeps
+// its weights as directed rows: row a, partner b holds the weight added
+// from a's side — in a built graph, the times b interleaved two
+// successive occurrences of a — and the undirected edge weight is the
+// sum of the two directions.
 type Graph struct {
-	weights flathash.Sum64
+	rows flathash.Rows[int64]
 	// nodes lists the distinct symbols in first-occurrence order; the
 	// order makes every downstream step deterministic.
 	nodes []int32
@@ -45,7 +53,7 @@ func NewGraph() *Graph {
 
 // Reset clears the graph for reuse, keeping backing capacity.
 func (g *Graph) Reset() {
-	g.weights.Reset()
+	g.rows.Reset(len(g.seen))
 	g.nodes = g.nodes[:0]
 	for i := range g.seen {
 		g.seen[i] = false
@@ -59,12 +67,14 @@ func pairKey(a, b int32) int64 {
 	return int64(a)<<32 | int64(int32(b))&0xffffffff
 }
 
-// ensureSym grows the dense membership index to cover symbol s.
+// ensureSym grows the dense membership index and the rows to cover
+// symbol s.
 func (g *Graph) ensureSym(s int32) {
 	if int(s) >= len(g.seen) {
 		grown := make([]bool, int(s)+1)
 		copy(grown, g.seen)
 		g.seen = grown
+		g.rows.Extend(len(grown))
 	}
 }
 
@@ -85,7 +95,7 @@ func (g *Graph) AddWeight(a, b int32, delta int64) {
 	}
 	g.AddNode(a)
 	g.AddNode(b)
-	g.weights.Add(pairKey(a, b), delta)
+	*g.rows.Ref(a, b) += delta
 }
 
 // Weight returns the weight of edge (a, b), 0 if absent.
@@ -93,7 +103,9 @@ func (g *Graph) Weight(a, b int32) int64 {
 	if a == b {
 		return 0
 	}
-	return g.weights.Get(pairKey(a, b))
+	ab, _ := g.rows.Get(a, b)
+	ba, _ := g.rows.Get(b, a)
+	return ab + ba
 }
 
 // Nodes returns the node list in first-occurrence order.
@@ -102,23 +114,33 @@ func (g *Graph) Nodes() []int32 { return g.nodes }
 // NumEdges returns the number of edges with non-zero weight.
 func (g *Graph) NumEdges() int {
 	n := 0
-	g.weights.ForEach(func(_ int64, w int64) {
-		if w != 0 {
-			n++
-		}
-	})
+	g.forEachEdge(func(_, _ int32, _ int64) { n++ })
 	return n
 }
 
-// forEachEdge visits every non-zero edge in unspecified order. Downstream
-// consumers (Edges and Reduce both sort by a total order) do not depend
-// on visit order.
+// forEachEdge visits every non-zero edge once, smaller symbol first,
+// with the summed weight of its two directions. Rows are read in symbol
+// order; an edge is visited from its smaller symbol's row, or from the
+// larger one's when the smaller's row lacks it.
 func (g *Graph) forEachEdge(f func(a, b int32, w int64)) {
-	g.weights.ForEach(func(key int64, w int64) {
-		if w != 0 {
-			f(int32(key>>32), int32(key&0xffffffff), w)
+	for a := int32(0); a < int32(g.rows.NumRows()); a++ {
+		for _, e := range g.rows.Row(a) {
+			b, w := e.Partner, e.Val
+			if b < 0 {
+				continue
+			}
+			back, ok := g.rows.Get(b, a)
+			switch {
+			case a < b:
+				w += back
+			case ok:
+				continue // visited from b's row
+			}
+			if w != 0 {
+				f(min(a, b), max(a, b), w)
+			}
 		}
-	})
+	}
 }
 
 // Edge is one weighted edge, used by tests and diagnostics.
@@ -129,7 +151,7 @@ type Edge struct {
 
 // Edges returns all edges sorted by descending weight, then by node IDs.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.weights.Len())
+	var out []Edge
 	g.forEachEdge(func(a, b int32, w int64) {
 		out = append(out, Edge{A: a, B: b, Weight: w})
 	})
@@ -310,15 +332,28 @@ func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, ar
 		arena.PutGraph(g)
 		return nil, err
 	}
+	// The first shard's partial graph becomes the result, and the
+	// graph drawn for it goes back to the pool in its place.
+	g, states[0].g = states[0].g, g
+	for _, st := range states[1:] {
+		g.merge(st.g)
+	}
 	for _, st := range states {
-		for _, s := range st.g.nodes {
-			g.AddNode(s)
-		}
-		g.weights.MergeFrom(&st.g.weights)
 		arena.putShard(st)
 	}
 	return g, nil
 }
+
+// merge adds a later shard's partial graph into g: its new nodes follow
+// g's in first-occurrence order, and its rows add row by row.
+func (g *Graph) merge(part *Graph) {
+	for _, s := range part.nodes {
+		g.AddNode(s)
+	}
+	g.rows.MergeFrom(&part.rows, addWeight)
+}
+
+func addWeight(dst *int64, src int64) { *dst += src }
 
 // cancelCheckMask throttles the in-shard context checks: the shard loop
 // polls ctx.Err() once per (cancelCheckMask+1) accesses.
@@ -342,15 +377,18 @@ func buildShard(ctx context.Context, st *buildState, g *Graph, syms []int32, max
 		cur := syms[i]
 		g.AddNode(cur)
 		// Snapshot the stack prefix above cur's previous occurrence: those
-		// are exactly the blocks interleaved between the two occurrences.
-		// If cur is not within the window, the previous occurrence is too
-		// far away (or absent) and contributes nothing.
+		// are exactly the blocks interleaved between the two occurrences,
+		// and each counts once in cur's row. If cur is not within the
+		// window, the previous occurrence is too far away (or absent) and
+		// contributes nothing. Every interleaved block was accessed
+		// before cur, so it is already a node of this shard or of an
+		// earlier one.
 		between, found := stack.AppendTopKUntil(st.topk[:0], limit, cur)
 		st.topk = between[:0]
 		if found {
+			row := g.rows.Cursor(cur)
 			for _, x := range between {
-				g.AddNode(x)
-				g.weights.Add(pairKey(cur, x), 1)
+				*row.Ref(x)++
 			}
 		}
 		stack.Access(cur)

@@ -7,7 +7,10 @@
 #       construction, footprint curve, co-run simulation, placement
 #       solver, streaming decode and feed) with -benchmem
 #       and write one JSON document with ns/op, B/op and allocs/op per
-#       benchmark. BENCHTIME overrides -benchtime (default 3x; CI uses
+#       benchmark, plus the machine it ran on: nproc, GOMAXPROCS (the
+#       -N suffix go test gives benchmark names, stripped from the
+#       names themselves), the Go version and the CPU model go test
+#       reports. BENCHTIME overrides -benchtime (default 3x; CI uses
 #       1x).
 #
 #   bench_json.sh check out.json <benchmark> <max-allocs>
@@ -25,7 +28,8 @@ OUT_DEFAULT=BENCH_PR10.json
 BENCHTIME=${BENCHTIME:-3x}
 
 # The kernel benchmarks the harness tracks, one per analysis subsystem
-# (the TRG reduction on a basic-block-scale graph among them) plus the
+# (the TRG reduction on a basic-block-scale graph among them), the
+# suite-scale bb-affinity and bb-trg feeds as layoutd runs them, plus the
 # end-to-end worker sweeps in the root package, the
 # observability hot paths (span start/end, counter, histogram), which
 # ride on every instrumented kernel and must stay allocation-free, and
@@ -33,7 +37,7 @@ BENCHTIME=${BENCHTIME:-3x}
 # and must reuse its caller's buffer, the traceparent parse/format pair,
 # which runs on every inbound request and every peer hop, and the
 # runtime-telemetry sampler tick, which fires for the process lifetime.
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
 PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/cluster'
 
 run() {
@@ -44,13 +48,23 @@ run() {
     echo "bench-json: running kernel benchmarks (benchtime=$BENCHTIME)" >&2
     go test -run='^$' -bench="$BENCH_RE" -benchmem -benchtime="$BENCHTIME" $PKGS | tee "$raw" >&2
 
-    awk -v benchtime="$BENCHTIME" '
+    awk -v benchtime="$BENCHTIME" \
+        -v nproc="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)" \
+        -v gover="$(go env GOVERSION)" '
     /^pkg: /  { pkg = $2 }
     /^goos: / { goos = $2 }
     /^goarch: / { goarch = $2 }
+    /^cpu: / && cpu == "" {
+        cpu = substr($0, 6)
+        gsub(/[\\"]/, "\\\\&", cpu)
+    }
     /^Benchmark/ && / ns\/op/ {
         name = $1
-        sub(/-[0-9]+$/, "", name)      # strip the GOMAXPROCS suffix
+        # The -N suffix is GOMAXPROCS; go test leaves it off at 1.
+        if (match(name, /-[0-9]+$/)) {
+            if (gomaxprocs == "") gomaxprocs = substr(name, RSTART + 1)
+            name = substr(name, 1, RSTART - 1)
+        }
         sub(/^Benchmark/, "", name)
         iters = $2
         ns = ""; bytes = ""; allocs = ""
@@ -68,9 +82,12 @@ run() {
         printf "}"
     }
     END {
+        if (gomaxprocs == "") gomaxprocs = 1
         printf "\n  ],\n"
-        printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"benchtime\": \"%s\"\n}\n",
+        printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"benchtime\": \"%s\",\n",
                goos, goarch, benchtime
+        printf "  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"go_version\": \"%s\",\n  \"cpu\": \"%s\"\n}\n",
+               nproc, gomaxprocs, gover, cpu
         if (n == 0) exit 3
     }
     BEGIN {
