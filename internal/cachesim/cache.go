@@ -6,7 +6,10 @@
 // hyper-threads of a core).
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -23,16 +26,32 @@ var L1IDefault = Config{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64}
 // (256 KB, 8-way).
 var L2Default = Config{SizeBytes: 256 << 10, Assoc: 8, LineBytes: 64}
 
+// MaxWays bounds a geometry's total number of ways (sets × assoc, or
+// SizeBytes/LineBytes): New allocates every way up front, so a request
+// naming a huge cache must be refused before a simulation starts. 1<<20
+// ways is a 64 MiB cache at 64-byte lines, far above any instruction
+// cache the evaluation models.
+const MaxWays = 1 << 20
+
 // Sets returns the number of cache sets.
 func (c Config) Sets() int { return c.SizeBytes / (c.Assoc * c.LineBytes) }
 
-// Validate checks that the geometry is consistent.
+// Validate checks that the geometry is consistent and within MaxWays.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cachesim: non-positive geometry %+v", c)
 	}
+	// A set's ways are some of the cache's, so an associativity above
+	// MaxWays is out of bounds too; checking it first keeps assoc*line
+	// from overflowing.
+	if c.Assoc > MaxWays || c.LineBytes > math.MaxInt/c.Assoc {
+		return fmt.Errorf("cachesim: geometry %+v exceeds %d ways or overflows assoc*line", c, MaxWays)
+	}
 	if c.SizeBytes%(c.Assoc*c.LineBytes) != 0 {
 		return fmt.Errorf("cachesim: size %d not divisible by assoc*line %d", c.SizeBytes, c.Assoc*c.LineBytes)
+	}
+	if ways := c.SizeBytes / c.LineBytes; ways > MaxWays {
+		return fmt.Errorf("cachesim: geometry %+v has %d ways, above the bound %d", c, ways, MaxWays)
 	}
 	return nil
 }

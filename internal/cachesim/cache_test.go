@@ -28,6 +28,29 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err == nil {
 		t.Error("accepted zero config")
 	}
+	// assoc*line overflows to 0: refused, not a divide by zero.
+	if err := (Config{SizeBytes: 64, Assoc: 1 << 62, LineBytes: 4}).Validate(); err == nil {
+		t.Error("accepted an assoc*line overflow")
+	}
+	if err := (Config{SizeBytes: 64, Assoc: 4, LineBytes: 1 << 62}).Validate(); err == nil {
+		t.Error("accepted an assoc*line overflow")
+	}
+	// A cache New could not allocate: refused.
+	if err := (Config{SizeBytes: 1 << 50, Assoc: 1, LineBytes: 1}).Validate(); err == nil {
+		t.Error("accepted a 2^50-way cache")
+	}
+	for _, c := range []Config{
+		{SizeBytes: MaxWays * 64, Assoc: 8, LineBytes: 64},
+		{SizeBytes: MaxWays, Assoc: MaxWays, LineBytes: 1},
+		L2Default,
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v at the way bound refused: %v", c, err)
+		}
+	}
+	if err := (Config{SizeBytes: 2 * MaxWays * 64, Assoc: 8, LineBytes: 64}).Validate(); err == nil {
+		t.Error("accepted a geometry above the way bound")
+	}
 }
 
 func TestDirectMappedConflict(t *testing.T) {

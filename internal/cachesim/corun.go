@@ -87,25 +87,27 @@ func SimulateCorun(cfg Config, primary, peer *layout.Replayer) CorunResult {
 	c := New(cfg)
 	var res CorunResult
 	// One block per thread per turn preserves the SMT interleaving
-	// exactly, but each turn's lines still come pre-resolved from the
-	// replay plan instead of a per-line closure.
-	var pbuf, qbuf []int64
+	// exactly; Replayer.Step hands each turn's lines over as two
+	// pre-resolved ranges, with no per-turn buffer or closure.
 	for {
-		lines, blocks := primary.AppendLines(pbuf[:0], 1)
-		if blocks == 0 {
+		sf, sl, first, last, ok := primary.Step()
+		if !ok {
 			break
 		}
-		pbuf = lines[:0]
-		for _, ln := range lines {
+		for ln := sf; ln <= sl; ln++ {
+			c.Access(ln, &res.PerThread[0])
+		}
+		for ln := first; ln <= last; ln++ {
 			c.Access(ln, &res.PerThread[0])
 		}
 		res.Blocks[0]++
-		lines, blocks = peer.AppendLines(qbuf[:0], 1)
-		qbuf = lines[:0]
-		for _, ln := range lines {
-			c.Access(ln+PeerLineOffset, &res.PerThread[1])
-		}
-		if blocks > 0 {
+		if sf, sl, first, last, ok = peer.Step(); ok {
+			for ln := sf; ln <= sl; ln++ {
+				c.Access(ln+PeerLineOffset, &res.PerThread[1])
+			}
+			for ln := first; ln <= last; ln++ {
+				c.Access(ln+PeerLineOffset, &res.PerThread[1])
+			}
 			res.Blocks[1]++
 		}
 	}

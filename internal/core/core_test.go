@@ -196,7 +196,11 @@ func TestOptimizerByName(t *testing.T) {
 // optimizers) and stable across calls (clients may hardcode them).
 // TestLayoutFromSequenceRoundTrip: rebuilding a layout from the cached
 // Report.Sequence must reproduce the optimizer's layout exactly — the
-// serving layer depends on this to replay co-runs from stored results.
+// serving layer depends on this to replay co-runs from stored results,
+// and to take the optimized layout's default-geometry solo miss ratio
+// from the stored MissAfter instead of replaying it. So every field
+// the replay reads must match: addresses, order, sizes (appended
+// jumps), entry stubs and the total image size.
 func TestLayoutFromSequenceRoundTrip(t *testing.T) {
 	prof := profileNamed(t, "458.sjeng")
 	for _, o := range AllWithBaselines() {
@@ -210,6 +214,10 @@ func TestLayoutFromSequenceRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(l.Addr, rebuilt.Addr) || !reflect.DeepEqual(l.Order(), rebuilt.Order()) {
 			t.Errorf("%s: rebuilt layout diverges from original", o.Name())
+		}
+		if !reflect.DeepEqual(l.Size, rebuilt.Size) || !reflect.DeepEqual(l.StubAddr, rebuilt.StubAddr) ||
+			l.TotalBytes != rebuilt.TotalBytes {
+			t.Errorf("%s: rebuilt layout's sizes, stubs or total bytes diverge from original", o.Name())
 		}
 	}
 }

@@ -141,25 +141,6 @@ func (t *Sum64) ForEach(f func(key int64, val int64)) {
 	}
 }
 
-// MergeFrom adds every value of src into t, as Add would key by key.
-// It first grows t to at least src's capacity. Without that, merging a
-// large table into a small or empty one is quadratic: src's slots hold
-// its keys in nearly ascending hash order, a smaller t maps them to
-// ascending home slots, and linear probing piles them into one run that
-// every later insert walks to its end. With t at least as large as src,
-// the keys arrive spread over at least as many home slots as src holds
-// them in, so t builds no probe run longer than src's own.
-func (t *Sum64) MergeFrom(src *Sum64) {
-	if len(t.entries) < len(src.entries) {
-		t.rehash(len(src.entries))
-	}
-	for i := range src.entries {
-		if e := src.entries[i]; e.key != 0 {
-			t.Add(e.key, e.val)
-		}
-	}
-}
-
 func (t *Sum64) grow() { t.rehash(max(2*len(t.entries), minCapacity)) }
 
 // rehash moves the entries into a table of n slots (a power of two).

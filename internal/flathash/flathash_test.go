@@ -193,26 +193,6 @@ func TestRowsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// maxProbe returns the longest distance, in slots, between a key's home
-// slot and the slot holding it: the worst probe sequence a lookup walks.
-func maxProbe(keys []int64, shift uint) int {
-	longest, mask := 0, len(keys)-1
-	for i, k := range keys {
-		if k != 0 {
-			longest = max(longest, (i-hash(k, shift))&mask)
-		}
-	}
-	return longest
-}
-
-func (t *Sum64) maxProbe() int {
-	keys := make([]int64, len(t.entries))
-	for i, e := range t.entries {
-		keys[i] = e.key
-	}
-	return maxProbe(keys, t.shift)
-}
-
 // maxProbe is the longest probe over every row's table.
 func (t *Rows[V]) maxProbe() int {
 	longest := 0
@@ -257,38 +237,15 @@ func mergeKeys() []int64 {
 }
 
 // mergeProbeBound caps the longest probe run a merge may build. The
-// source tables below, filled key by key to a 0.76 load on their half of
-// the slots, keep theirs under it.
+// source rows below, filled key by key, keep theirs under it.
 const mergeProbeBound = 256
 
-// TestMergeFromKeepsProbesShort is the clustering regression test: a
-// 200k-key table merged slot by slot into an empty table must give every
-// key the value per-key Add gives it, and must build no probe run longer
-// than mergeProbeBound. Each source is sized to twice its key count, as
-// a recycled arena table is after Reset.
+// TestMergeFromKeepsProbesShort is the clustering regression test: 200k
+// keys merged slot by slot into empty rows must each get the value
+// per-key updates give it, and must build no probe run longer than
+// mergeProbeBound.
 func TestMergeFromKeepsProbesShort(t *testing.T) {
 	keys := mergeKeys()
-	t.Run("Sum64", func(t *testing.T) {
-		var src Sum64
-		src.rehash(1 << 19)
-		for i, k := range keys {
-			src.Add(k, int64(i+1))
-		}
-		var dst Sum64
-		dst.MergeFrom(&src)
-		if got := dst.maxProbe(); got > mergeProbeBound {
-			t.Fatalf("longest probe after merge = %d slots, want <= %d", got, mergeProbeBound)
-		}
-		dst.MergeFrom(&src) // into a non-empty table: values double
-		if dst.Len() != len(keys) {
-			t.Fatalf("Len = %d, want %d", dst.Len(), len(keys))
-		}
-		for i, k := range keys {
-			if got, want := dst.Get(k), 2*int64(i+1); got != want {
-				t.Fatalf("Get(%d) = %d, want %d", k, got, want)
-			}
-		}
-	})
 	t.Run("Rows", func(t *testing.T) {
 		// One row per symbol, as the kernels keep them: each pair key
 		// becomes an entry in the smaller symbol's row. Rows of up to

@@ -132,10 +132,13 @@ func (t *Rows[V]) Ref(row, partner int32) *V {
 }
 
 // MergeFrom merges every entry of src into t, row by row: merge combines
-// the value in t (zero if the partner is new to the row) with src's.
-// Like Sum64.MergeFrom, it first grows each row's table to at least the
-// size of src's, so inserting in src's slot order cannot build one long
-// probe run.
+// the value in t (zero if the partner is new to the row) with src's. It
+// first grows each row's table to at least the size of src's. A table's
+// slots hold its partners in nearly ascending hash order, so inserting
+// them in src's slot order into a smaller table would pack them into
+// one long probe run that every later insert walks to its end; with t's
+// table at least as large, they arrive spread over at least as many
+// home slots as src holds them in.
 func (t *Rows[V]) MergeFrom(src *Rows[V], merge func(dst *V, src V)) {
 	t.Extend(len(src.heads))
 	for r, sh := range src.heads {

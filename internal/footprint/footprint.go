@@ -11,6 +11,11 @@
 // defensiveness and politeness. Footprints are measured in symbols
 // (distinct code blocks, as the paper approximates) or in bytes when
 // block sizes are supplied.
+//
+// A curve is computed over a trace held in memory, in O(n + m) time
+// with one per-symbol index beside the curve itself (NewCurveWorkers).
+// There is no chunk-fed form: layoutd computes curves only in co-run
+// pair analysis, over the line trace of a retained trace.
 package footprint
 
 import (
@@ -131,10 +136,16 @@ func NewCurveCtx(ctx context.Context, syms []int32, weights []int32, workers int
 // every available core, 1 pins the serial reference path. The single
 // trace pass and the deficit sweep stay sequential (they are O(n) with
 // loop-carried state); the fp(w) evaluation over the n window lengths —
-// each an independent read of the shared deficit table — fans out in
+// each an independent read of its own deficit slot — fans out in
 // contiguous chunks. Every FP[w] slot is written by exactly one worker
 // with the same float operations the serial loop performs, so the curve
 // is bit-identical for any worker count.
+//
+// The whole computation runs in the curve's own FP array: the trace
+// pass accumulates each window length's weight there, the reverse
+// sweep turns the weights into deficits in place, and the evaluation
+// turns each deficit into FP(w). Besides FP it allocates one
+// last-access index per symbol.
 func NewCurveWorkers(syms []int32, weights []int32, workers int) *Curve {
 	n := len(syms)
 	c := &Curve{FP: make([]float64, n+1), N: n}
@@ -147,83 +158,67 @@ func NewCurveWorkers(syms []int32, weights []int32, workers int) *Curve {
 			maxSym = s
 		}
 	}
-	first := make([]int, maxSym+1)
-	last := make([]int, maxSym+1)
-	for i := range first {
-		first[i] = -1
-	}
 	w := func(s int32) float64 {
 		if weights == nil {
 			return 1
 		}
 		return float64(weights[s])
 	}
-	// rt[t] accumulates the weight of reuses with reuse time t.
-	rt := make([]float64, n+1)
+	// FP[v], for v in [1, n], first collects the weight of first-access
+	// times f = v, reverse last-access times r = v (both 1-based) and
+	// reuse times t = v. The three sums of the Xiang formula then share
+	// one deficit: D(w) = Σ_{v>w} (v-w) * FP[v]. The weights are
+	// integers, so these sums are exact in any order.
+	fp := c.FP
+	last := make([]int, maxSym+1)
+	for i := range last {
+		last[i] = -1
+	}
 	var m float64
 	for t, s := range syms {
-		if first[s] < 0 {
-			first[s] = t
+		if l := last[s]; l < 0 {
+			fp[t+1] += w(s) // f_i
 			m += w(s)
 		} else {
-			d := t - last[s]
-			rt[d] += w(s)
+			fp[t-l] += w(s) // reuse time t - l
 		}
 		last[s] = t
 	}
-	c.Total = m
-	finishCurve(c, m, maxSym, first, last, rt, w, workers)
-	return c
-}
-
-// finishCurve runs the closing sweeps of the Xiang formula over the
-// single-pass tables: shared by the buffered computation above and the
-// streaming CurveFeeder, which accumulates the same tables chunk by
-// chunk. first/last must cover [0, maxSym] (extra -1 entries are
-// ignored); rt may be shorter than n+1 when no long reuse occurred.
-func finishCurve(c *Curve, m float64, maxSym int32, first, last []int, rt []float64, w func(int32) float64, workers int) {
-	n := c.N
-	// wt[v] collects, per window-length value v in [1, n], the weight of
-	// first-access times f = v, reverse-last times r = v (both 1-based),
-	// and reuse times t = v. The three sums of the Xiang formula then
-	// share one deficit: D(w) = Σ_{v>w} (v-w) * wt[v].
-	wt := make([]float64, n+2)
-	for s := int32(0); s <= maxSym; s++ {
-		if first[s] < 0 {
-			continue
+	for s, l := range last {
+		if l >= 0 {
+			fp[n-l] += w(int32(s)) // r_i = n - last (last is 0-based)
 		}
-		wt[first[s]+1] += w(s) // f_i
-		wt[n-last[s]] += w(s)  // r_i = n - last (last is 0-based)
 	}
-	for t := 1; t <= n && t < len(rt); t++ {
-		wt[t] += rt[t]
-	}
+	c.Total = m
 
-	// Reverse sweep using D(w) = D(w+1) + T(w) and T(w) = T(w+1) + wt[w+1].
-	deficit := make([]float64, n+2)
-	var tailWeight, tailDeficit float64
+	// Reverse sweep using D(w) = D(w+1) + T(w) and T(w) = T(w+1) +
+	// weight(w+1), overwriting each slot's weight with its deficit: slot
+	// v+1's weight is read before the step that overwrites it.
+	var tailWeight, tailDeficit, above float64
 	for v := n; v >= 1; v-- {
 		if v+1 <= n {
-			tailWeight += wt[v+1]
+			tailWeight += above
 		}
 		tailDeficit += tailWeight
-		deficit[v] = tailDeficit
+		above = fp[v]
+		fp[v] = tailDeficit
 	}
 
 	chunks := parallel.Chunks(n, parallel.Workers(workers), 4096)
 	_ = parallel.ForEach(workers, len(chunks), func(ci int) error {
 		for win := chunks[ci][0] + 1; win <= chunks[ci][1]; win++ {
 			windows := float64(n - win + 1)
-			c.FP[win] = m - deficit[win]/windows
-			if c.FP[win] < 0 {
-				c.FP[win] = 0
+			fp[win] = m - fp[win]/windows
+			if fp[win] < 0 {
+				fp[win] = 0
 			}
-			if c.FP[win] > m {
-				c.FP[win] = m
+			if fp[win] > m {
+				fp[win] = m
 			}
 		}
 		return nil
 	})
+	return c
 }
 
 // At returns FP(w), clamping w to [0, N].

@@ -144,9 +144,11 @@ type replayPlan struct {
 	// -1: a stub fetch happens exactly when the previous block calls
 	// entryFn[b].
 	entryFn []ir.FuncID
-	// stubFirst/stubLast bound function f's entry-stub lines.
+	// stubFirst/stubLast bound function f's entry-stub lines; hasStubs
+	// is false for a stub-free layout, whose calls fetch no stub.
 	stubFirst []int64
 	stubLast  []int64
+	hasStubs  bool
 }
 
 func buildReplayPlan(l *Layout, lineBytes int64) *replayPlan {
@@ -178,7 +180,7 @@ func buildReplayPlan(l *Layout, lineBytes int64) *replayPlan {
 			p.entryFn[b] = blk.Fn
 		}
 	}
-	if l.HasStubs() {
+	if p.hasStubs = l.HasStubs(); p.hasStubs {
 		nf := len(l.StubAddr)
 		p.stubFirst = make([]int64, nf)
 		p.stubLast = make([]int64, nf)
@@ -191,6 +193,57 @@ func buildReplayPlan(l *Layout, lineBytes int64) *replayPlan {
 		}
 	}
 	return p
+}
+
+// Step replays one block occurrence and returns the cache lines it
+// fetches as two inclusive ranges: the entry stub's [stubFirst,
+// stubLast], empty (stubFirst > stubLast) unless the occurrence is a
+// call into a stub-carrying layout's function, then the block's own
+// [first, last]. ok is false when a non-wrapping replayer is exhausted.
+// It is the per-occurrence form of AppendLines — the same rules and
+// fetch stream, with no buffer — for callers that interleave replayers
+// one occurrence at a time, as the co-run simulation does. The rules
+// are spelled out here as in AppendLines and StreamReplayer.emit: on
+// one shared helper the batched and chunk-fed solo replays, which every
+// optimization job runs, measured slower.
+func (r *Replayer) Step() (stubFirst, stubLast, first, last int64, ok bool) {
+	if r.plan == nil {
+		r.plan = buildReplayPlan(r.l, r.lineBytes)
+	}
+	p, syms := r.plan, r.t.Syms
+	n := len(syms)
+	if r.pos >= n {
+		if !r.wrap || n == 0 {
+			return 1, 0, 1, 0, false
+		}
+		r.pos = 0
+		r.laps++
+		r.prev = ir.NoBlock
+	}
+	b := ir.BlockID(syms[r.pos])
+	r.pos++
+	stubFirst, stubLast = 1, 0
+	if p.hasStubs && r.prev != ir.NoBlock {
+		if fn := p.entryFn[b]; fn >= 0 && p.callCallee[r.prev] == fn {
+			stubFirst, stubLast = p.stubFirst[fn], p.stubLast[fn]
+		}
+	}
+	last = p.lastFull[b]
+	if f := p.fall[b]; f != ir.NoBlock {
+		// The appended jump executes only when the trace goes to the
+		// displaced fall-through (same rule as effectiveSize).
+		next := ir.NoBlock
+		if r.pos < n {
+			next = ir.BlockID(syms[r.pos])
+		} else if r.wrap {
+			next = ir.BlockID(syms[0])
+		}
+		if next != f {
+			last = p.lastShort[b]
+		}
+	}
+	r.prev = b
+	return stubFirst, stubLast, p.lineFirst[b], last, true
 }
 
 // AppendLines replays up to maxBlocks block occurrences, appending every
@@ -206,7 +259,7 @@ func (r *Replayer) AppendLines(dst []int64, maxBlocks int) ([]int64, int) {
 	p := r.plan
 	syms := r.t.Syms
 	n := len(syms)
-	hasStubs := r.l.HasStubs()
+	hasStubs := p.hasStubs
 	pos, prev := r.pos, r.prev
 	blocks := 0
 	for blocks < maxBlocks {

@@ -138,3 +138,82 @@ func TestAppendLinesMixedWithNext(t *testing.T) {
 		}
 	}
 }
+
+// replayAllStep drains up to maxBlocks occurrences through Step and
+// returns the fetched lines, stub range first, as AppendLines orders
+// them.
+func replayAllStep(r *Replayer, maxBlocks int) []int64 {
+	var lines []int64
+	for i := 0; i < maxBlocks; i++ {
+		sf, sl, first, last, ok := r.Step()
+		if !ok {
+			break
+		}
+		for ln := sf; ln <= sl; ln++ {
+			lines = append(lines, ln)
+		}
+		for ln := first; ln <= last; ln++ {
+			lines = append(lines, ln)
+		}
+	}
+	return lines
+}
+
+// TestStepMatchesAppendLines: stepping one occurrence at a time yields
+// the AppendLines fetch stream, cursor and laps, with and without wrap;
+// mixing the two paths on one replayer keeps the shared cursor
+// consistent.
+func TestStepMatchesAppendLines(t *testing.T) {
+	for name, l := range replayerParityLayouts(t) {
+		for _, wrap := range []bool{false, true} {
+			tr := parityTrace(37, len(l.Prog.Blocks))
+			const occurrences = 496 // a multiple of the mixed loop's 8
+			ref := NewReplayer(l, tr, 64, wrap)
+			want, _ := ref.AppendLines(nil, occurrences)
+			r := NewReplayer(l, tr, 64, wrap)
+			if got := replayAllStep(r, occurrences); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s wrap=%v: stepped stream diverges from AppendLines", name, wrap)
+			}
+			if r.Laps() != ref.Laps() || r.Pos() != ref.Pos() || r.Done() != ref.Done() {
+				t.Fatalf("%s wrap=%v: cursor (laps %d, pos %d) vs (laps %d, pos %d)",
+					name, wrap, r.Laps(), r.Pos(), ref.Laps(), ref.Pos())
+			}
+
+			mixed := NewReplayer(l, tr, 64, wrap)
+			var got []int64
+			for replayed := 0; replayed < occurrences; replayed += 8 {
+				got, _ = mixed.AppendLines(got, 5)
+				got = append(got, replayAllStep(mixed, 3)...)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s wrap=%v: mixed Step/AppendLines stream diverges", name, wrap)
+			}
+		}
+	}
+	// A last occurrence whose displaced fall-through is the trace's
+	// first block: its appended jump runs only when the replayer wraps.
+	// 4-byte lines make the jump's bytes show in the line stream.
+	l := replayerParityLayouts(t)["reversed"]
+	found := false
+	for b, blk := range l.Prog.Blocks {
+		br, isBranch := blk.Term.(ir.Branch)
+		if !isBranch || l.Size[b] == blk.Size {
+			continue
+		}
+		found = true
+		tr := trace.New([]int32{int32(br.Fall), int32(br.Taken), int32(b)})
+		for _, wrap := range []bool{false, true} {
+			want, _ := NewReplayer(l, tr, 4, wrap).AppendLines(nil, 7)
+			if got := replayAllStep(NewReplayer(l, tr, 4, wrap), 7); !reflect.DeepEqual(got, want) {
+				t.Fatalf("block %d wrap=%v: stepped stream %v, AppendLines %v", b, wrap, got, want)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("the reversed layout displaced no branch fall-through")
+	}
+	r := NewReplayer(Original(fig3Prog(t)), trace.New(nil), 64, true)
+	if _, _, _, _, ok := r.Step(); ok {
+		t.Fatal("Step on an empty wrapping trace reported an occurrence")
+	}
+}

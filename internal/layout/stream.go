@@ -21,22 +21,20 @@ import "codelayout/internal/ir"
 //
 // A StreamReplayer is not safe for concurrent use.
 type StreamReplayer struct {
-	plan     *replayPlan
-	hasStubs bool
-	prev     ir.BlockID // last emitted occurrence, for the stub rule
-	held     ir.BlockID // most recent occurrence, awaiting its successor
-	hasHeld  bool
-	blocks   int64
+	plan    *replayPlan
+	prev    ir.BlockID // last emitted occurrence, for the stub rule
+	held    ir.BlockID // most recent occurrence, awaiting its successor
+	hasHeld bool
+	blocks  int64
 }
 
 // NewStreamReplayer creates a chunk-fed replayer over the given layout.
 // The layout is immutable for the replayer's lifetime by contract.
 func NewStreamReplayer(l *Layout, lineBytes int) *StreamReplayer {
 	return &StreamReplayer{
-		plan:     buildReplayPlan(l, int64(lineBytes)),
-		hasStubs: l.HasStubs(),
-		prev:     ir.NoBlock,
-		held:     ir.NoBlock,
+		plan: buildReplayPlan(l, int64(lineBytes)),
+		prev: ir.NoBlock,
+		held: ir.NoBlock,
 	}
 }
 
@@ -45,7 +43,7 @@ func NewStreamReplayer(l *Layout, lineBytes int) *StreamReplayer {
 // in the same order, as Replayer.AppendLines.
 func (r *StreamReplayer) emit(dst []int64, b, next ir.BlockID) []int64 {
 	p := r.plan
-	if r.hasStubs && r.prev != ir.NoBlock {
+	if p.hasStubs && r.prev != ir.NoBlock {
 		if fn := p.entryFn[b]; fn >= 0 && p.callCallee[r.prev] == fn {
 			for ln := p.stubFirst[fn]; ln <= p.stubLast[fn]; ln++ {
 				dst = append(dst, ln)

@@ -77,6 +77,21 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
+// Compact shrinks the buffer to exactly the spans recorded so far, for
+// a recorder that is done recording but is kept for reading, like a
+// finished job's. The buffer is then full: a span started afterwards is
+// dropped and counted, as past any capacity. Spans already started can
+// still End and take attributes.
+func (r *Recorder) Compact() {
+	r.mu.Lock()
+	if len(r.spans) < cap(r.spans) {
+		spans := make([]SpanData, len(r.spans))
+		copy(spans, r.spans)
+		r.spans = spans
+	}
+	r.mu.Unlock()
+}
+
 // Snapshot returns a copy of the recorded spans (in start order) and
 // the number of spans dropped by the capacity bound.
 func (r *Recorder) Snapshot() ([]SpanData, int64) {

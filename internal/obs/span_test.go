@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +80,45 @@ func TestRecorderBoundAndDropHook(t *testing.T) {
 	}
 	if rec.Dropped() != 3 {
 		t.Fatalf("Dropped() = %d, want 3", rec.Dropped())
+	}
+}
+
+// TestRecorderCompact: compaction keeps every recorded span, leaves the
+// buffer exactly full, still lets an open span end and take attributes,
+// and drops and counts any span started afterwards.
+func TestRecorderCompact(t *testing.T) {
+	rec := NewRecorder(128)
+	var hookCalls int
+	rec.SetDropHook(func() { hookCalls++ })
+	ctx := WithRecorder(context.Background(), rec)
+	StartSpan(ctx, "a").End()
+	rec.Record("queue.wait", rec.Begin(), time.Millisecond)
+	open := StartSpan(ctx, "open")
+	before, _ := rec.Snapshot()
+
+	rec.Compact()
+	if len(rec.spans) != 3 || cap(rec.spans) != 3 {
+		t.Fatalf("after compaction len %d cap %d, want 3 and 3", len(rec.spans), cap(rec.spans))
+	}
+	after, dropped := rec.Snapshot()
+	if !reflect.DeepEqual(after, before) || dropped != 0 {
+		t.Fatalf("compaction changed the spans: %+v vs %+v (dropped %d)", after, before, dropped)
+	}
+
+	open.SetAttr("n", 7)
+	open.End()
+	StartSpan(ctx, "late").End()
+	rec.Record("late", rec.Begin(), time.Millisecond)
+	spans, dropped := rec.Snapshot()
+	if len(spans) != 3 || dropped != 2 || hookCalls != 2 {
+		t.Fatalf("after late spans: %d spans, %d dropped, %d hook calls; want 3, 2, 2", len(spans), dropped, hookCalls)
+	}
+	if sp := spans[2]; sp.Name != "open" || sp.Dur < 0 || sp.NAttr != 1 || sp.Attrs[0] != (Attr{"n", 7}) {
+		t.Fatalf("open span after compaction = %+v", sp)
+	}
+	rec.Compact() // a full buffer stays as it is
+	if cap(rec.spans) != 3 {
+		t.Fatalf("second compaction cap %d", cap(rec.spans))
 	}
 }
 

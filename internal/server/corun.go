@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -97,9 +98,10 @@ type corunJobRequest struct {
 
 // corunEntry is one digest's materialized inputs: the cached result, the
 // baseline and rebuilt optimized layouts, and the retained trace.
-// Derived artifacts (line traces, footprint curves, solo miss ratios)
-// are memoized per entry because a schedule job reuses them across every
-// pair the entry appears in; the mutex serializes that lazy work.
+// Derived artifacts (footprint curves, solo miss ratios off the default
+// geometry) are memoized per entry because a schedule job reuses them
+// across every pair the entry appears in; the mutex serializes that
+// lazy work.
 type corunEntry struct {
 	res  *Result
 	base *layout.Layout
@@ -107,19 +109,19 @@ type corunEntry struct {
 	tr   *trace.Trace
 
 	mu     sync.Mutex
-	lines  map[int][]int32             // optimized-layout line trace by lineBytes
 	curves map[int]*footprint.Curve    // footprint curve by lineBytes
 	solo   map[cachesim.Config]float64 // optimized solo miss ratio by geometry
 }
 
-// lineTrace returns the entry's optimized layout replayed to a cache-line
-// reference trace — the input of the footprint model. Lines fit in int32
+// curve returns the entry's footprint curve over its optimized layout
+// replayed to a cache-line reference trace, memoized per line size. The
+// line trace lives only while the curve is computed. Lines fit in int32
 // because layouts address at most a few megabytes of code.
-func (e *corunEntry) lineTrace(lineBytes int) []int32 {
+func (e *corunEntry) curve(ctx context.Context, lineBytes, workers int) *footprint.Curve {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if lines, ok := e.lines[lineBytes]; ok {
-		return lines
+	if c, ok := e.curves[lineBytes]; ok {
+		return c
 	}
 	r := layout.NewReplayer(e.opt, e.tr, lineBytes, false)
 	var lines []int32
@@ -134,22 +136,6 @@ func (e *corunEntry) lineTrace(lineBytes int) []int32 {
 		}
 		buf = out[:0]
 	}
-	if e.lines == nil {
-		e.lines = make(map[int][]int32)
-	}
-	e.lines[lineBytes] = lines
-	return lines
-}
-
-// curve returns the entry's footprint curve over its line trace,
-// memoized per line size.
-func (e *corunEntry) curve(ctx context.Context, lineBytes, workers int) *footprint.Curve {
-	lines := e.lineTrace(lineBytes)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.curves[lineBytes]; ok {
-		return c
-	}
 	c := footprint.NewCurveCtx(ctx, lines, nil, workers)
 	if e.curves == nil {
 		e.curves = make(map[int]*footprint.Curve)
@@ -158,9 +144,16 @@ func (e *corunEntry) curve(ctx context.Context, lineBytes, workers int) *footpri
 	return c
 }
 
-// soloMiss returns the optimized layout's solo miss ratio under cfg,
+// soloMiss returns the optimized layout's solo miss ratio under cfg.
+// Under the default geometry it is the result's MissAfter: the
+// optimization job replayed the same layout (LayoutFromSequence rebuilds
+// it exactly) over the same trace (the one retained under TraceDigest)
+// through cachesim.L1IDefault. Any other geometry is replayed here,
 // memoized per geometry.
 func (e *corunEntry) soloMiss(ctx context.Context, cfg cachesim.Config) float64 {
+	if cfg == cachesim.L1IDefault {
+		return e.res.MissAfter
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if m, ok := e.solo[cfg]; ok {
@@ -218,7 +211,13 @@ func (s *Server) resolveEntry(ctx context.Context, digest string) (*corunEntry, 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	body := http.MaxBytesReader(w, r.Body, maxJSONBody)
 	defer body.Close()
-	dec := json.NewDecoder(body)
+	return decodeStrict(body, v)
+}
+
+// decodeStrict decodes one JSON value from r into v, refusing fields v
+// does not declare.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)

@@ -185,6 +185,10 @@ func TestCorunAdversarialInputs(t *testing.T) {
 		{"bad cache geometry", map[string]any{"a": d, "b": d,
 			"cache": map[string]any{"SizeBytes": 1000, "Assoc": 3, "LineBytes": 64}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"a": d, "b": d, "bogus": 1}, http.StatusBadRequest},
+		{"huge cache", map[string]any{"a": d, "b": d,
+			"cache": map[string]any{"SizeBytes": 1125899906842624, "Assoc": 1, "LineBytes": 1}}, http.StatusBadRequest},
+		{"assoc*line overflow", map[string]any{"a": d, "b": d,
+			"cache": map[string]any{"SizeBytes": 64, "Assoc": 4611686018427387904, "LineBytes": 4}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, msg, code := postJSON(t, ts, "/v1/corun", tc.body)
@@ -351,6 +355,8 @@ func TestScheduleValidation(t *testing.T) {
 		{"over capacity", map[string]any{"digests": []string{d, d, d},
 			"topology": map[string]int{"domains": 1, "slotsPerDomain": 2}}, http.StatusBadRequest},
 		{"unknown digest", map[string]any{"digests": []string{d, "deadbeef" + d[8:]}, "topology": topo}, http.StatusNotFound},
+		{"huge cache", map[string]any{"digests": []string{d, d}, "topology": topo,
+			"cache": map[string]any{"SizeBytes": 1125899906842624, "Assoc": 1, "LineBytes": 1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, msg, code := postJSON(t, ts, "/v1/schedule", tc.body)

@@ -277,12 +277,13 @@ func (j *Job) traceTimeline() traceView {
 }
 
 // tryStart moves a queued job to running; it reports false when the
-// job was canceled while waiting in the pool queue, in which case the
-// worker must skip it.
+// job was canceled while waiting in the pool queue, or claimed by a
+// finish (a cache hit at the seal) that has not yet published its
+// status, in which case the worker must skip it.
 func (j *Job) tryStart() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != StatusQueued || j.finishing {
 		return false
 	}
 	j.status = StatusRunning

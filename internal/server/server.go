@@ -707,7 +707,7 @@ func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
 // worker that started it, the DELETE handler that canceled it while
 // queued, or the handler that answered it from a cache; any later call
 // changes nothing. It folds the job's spans into the per-phase
-// histograms, counts the outcome, releases the job's in-flight bytes
+// histograms and compacts its recorder, counts the outcome, releases the job's in-flight bytes
 // and pushes its summary onto the debug ring — all before it publishes
 // the terminal status, so a client that reads the status finds every
 // one of them — then logs the outcome.
@@ -727,6 +727,9 @@ func (s *Server) finishJob(j *Job, hit bool, status string, doc any, err error) 
 	var spans []obs.SpanData
 	if j.rec != nil {
 		spans, _ = j.rec.Snapshot()
+		// The job keeps its recorder for GET /v1/jobs/{id}/trace until
+		// it is evicted; keep only the slots it used.
+		j.rec.Compact()
 	}
 	s.metrics.observePhases(spans)
 	switch {

@@ -770,3 +770,62 @@ func TestDebugJobsRing(t *testing.T) {
 		t.Errorf("debug summary elapsed_ms = %v, want > 0", found.ElapsedMS)
 	}
 }
+
+// TestFinishedJobRecorderCompacted: a finished job's recorder keeps
+// exactly the spans it recorded — capacity equals the span count, so a
+// span started afterwards is dropped and counted — and
+// GET /v1/jobs/{id}/trace serves the same timeline, for an optimization
+// job and a co-run job.
+func TestFinishedJobRecorderCompacted(t *testing.T) {
+	s, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1})
+	d := submitDone(t, ts, "func-affinity")
+	cv, _, code := postJSON(t, ts, "/v1/corun", map[string]any{"a": d, "b": d})
+	if code != http.StatusAccepted {
+		t.Fatalf("corun submit status %d", code)
+	}
+	if done := waitJob(t, ts, cv.ID); done.Status != StatusDone {
+		t.Fatalf("corun job: %+v", done)
+	}
+
+	getTrace := func(id string) traceView {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var tv traceView
+		if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET trace %s: %d %v", id, resp.StatusCode, err)
+		}
+		return tv
+	}
+	s.mu.Lock()
+	var ids []string
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	s.mu.Unlock()
+	if len(ids) != 2 {
+		t.Fatalf("%d jobs, want 2", len(ids))
+	}
+	for _, id := range ids {
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		before := getTrace(id)
+		spans, dropped := j.rec.Snapshot()
+		if len(spans) == 0 || len(spans) != len(before.Spans) || dropped != 0 {
+			t.Fatalf("job %s: recorder holds %d spans (%d dropped), timeline %d", id, len(spans), dropped, len(before.Spans))
+		}
+		obs.StartSpan(obs.WithRecorder(context.Background(), j.rec), "late").End()
+		if got := j.rec.Dropped(); got != 1 {
+			t.Fatalf("job %s: a span after finish was kept (dropped %d): capacity exceeds the %d spans", id, got, len(spans))
+		}
+		after := getTrace(id)
+		if !reflect.DeepEqual(after.Spans, before.Spans) || after.Dropped != 1 {
+			t.Fatalf("job %s: timeline changed after finish: %v vs %v (dropped %d)",
+				id, spanNames(after.Spans), spanNames(before.Spans), after.Dropped)
+		}
+	}
+}
