@@ -14,12 +14,13 @@
 //
 // Two analyses are provided: BuildHierarchyNaive follows Algorithm 1 and
 // the definitions directly (quadratic, used for validation), while
-// BuildHierarchy is the paper's efficient solution — an LRU stack
-// simulation per window size that records co-occurrence coverage in
-// O(W·N·w) time. The hot path keeps its working set flat (DESIGN.md §9):
-// each block has a coverage row, a small open-addressed table holding
-// per partner the occurrences covered and their largest minimal depth,
-// so one occurrence's updates stay in one cache-resident row;
+// BuildHierarchy is the paper's efficient solution — two LRU stack
+// passes that read only the top wmax of the stack, in O(N·wmax) time.
+// The hot path keeps its working set small (DESIGN.md §9): each pass
+// keeps just the stack's top wmax, as a move-to-front window; since
+// Definition 3 quantifies over every occurrence, each block keeps only
+// the list of partners found near all of its occurrences so far, which
+// can only shrink, instead of a count per pair it has ever seen;
 // per-occurrence partner merging uses an epoch-stamped dense scratch;
 // and an optional Arena recycles every buffer across calls.
 package affinity
@@ -27,6 +28,7 @@ package affinity
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"codelayout/internal/flathash"
 	"codelayout/internal/obs"
@@ -43,8 +45,8 @@ type Options struct {
 	// Workers bounds the analysis concurrency: 0 means every available
 	// core, 1 pins the serial reference path. The built hierarchy is
 	// byte-identical for every setting — the stack passes shard the
-	// trace with exact LRU warm-up and the per-shard coverage rows merge
-	// by commutative addition and max (DESIGN.md §7).
+	// trace with exact LRU warm-up and the per-shard candidate lists
+	// merge by commutative intersection and max (DESIGN.md §7).
 	Workers int
 	// Arena recycles the analysis' internal buffers across calls; nil
 	// allocates fresh buffers. It is an execution knob, not a model
@@ -158,11 +160,12 @@ func pairKey(a, b int32) int64 {
 //   - backward pass over the reversed trace: symmetric, covering the
 //     occurrence forward to the next y.
 //
-// Folding the per-occurrence minima into each block's row — per partner,
-// the occurrences covered and the largest of their minima — yields, for
-// every pair, the smallest w at which all occurrences of both blocks are
-// covered — i.e. the level where the pair becomes affine. Total cost is
-// O(N·wmax) time, matching the paper's "efficient solution" in §II-B.
+// Folding the per-occurrence minima into each block's candidate list —
+// the partners present at every occurrence so far, each with the
+// largest of its minima — yields, for every pair in both lists, the
+// smallest w at which all occurrences of both blocks are covered — i.e.
+// the level where the pair becomes affine. Total cost is O(N·wmax)
+// time, matching the paper's "efficient solution" in §II-B.
 func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 	h, _ := BuildHierarchyCtx(context.Background(), t, opt)
 	return h
@@ -341,109 +344,108 @@ func (m *levelMerger) merge(prev Partition, w int, idx *partnerIndex) Partition 
 // shard must cover several times that to amortize the duplicated work.
 const minShardSpan = 4
 
+// defaultShardSpan is the largest shard the buffered stack passes cut,
+// and the streamed shard span when Options leaves it unset: large
+// enough that the warm-up replay (up to wmax distinct symbols on each
+// side) is noise against the shard body, small enough that a shard's
+// forward-pass spans (wmax−1 symbols per occurrence) stay a few MB.
+const defaultShardSpan = 1 << 16
+
 // cancelCheckMask throttles the in-shard context checks: the shard loops
 // poll ctx.Err() once per (cancelCheckMask+1) occurrences.
 const cancelCheckMask = 0x3FFF
 
 // pairMinWindowsStack computes, for every symbol pair that becomes affine
 // at some w <= wmax, that minimal w, using the two stack passes described
-// on BuildHierarchy. The trace is split into contiguous shards, one
-// independent pair of passes per shard; each shard warms its LRU stack
-// by replaying just enough of the neighboring trace that its top-wmax
-// stack views equal the full-trace simulation, so the per-shard
-// coverage rows merge to exactly the serial result. Shard rows merge
-// row by row into the first shard's.
+// on BuildHierarchy. The trace is split into contiguous shards of at most
+// defaultShardSpan occurrences (more when Workers asks for more), one
+// independent pair of passes per shard; each shard warms its window by
+// replaying just enough of the neighboring trace that its top-wmax views
+// equal the full-trace simulation, so the per-shard candidate lists
+// intersect to exactly the serial result. Each shard folds into one
+// accumulator as it finishes and its state goes back to the arena, so
+// the working set is bounded by the shard span, not the trace length.
 func pairMinWindowsStack(ctx context.Context, tt *trace.Trace, wmax, workers int, arena *Arena) (*flathash.Sum64, error) {
 	n := len(tt.Syms)
 	maxSym := tt.MaxSym()
-	occCount := tt.Counts()
-
-	chunks := parallel.Chunks(n, parallel.Workers(workers), minShardSpan*wmax)
-	states := make([]*shardState, len(chunks))
+	parts := max(parallel.Workers(workers), (n+defaultShardSpan-1)/defaultShardSpan)
+	chunks := parallel.Chunks(n, parts, minShardSpan*wmax)
+	acc := arena.getLists()
+	defer arena.putLists(acc)
+	var mu sync.Mutex
 	err := parallel.ForEachCtx(ctx, workers, len(chunks), func(ctx context.Context, i int) error {
 		st := arena.getShard()
-		states[i] = st
-		return shardPairHists(ctx, st, tt.Syms, maxSym, wmax, chunks[i][0], chunks[i][1])
+		defer arena.putShard(st)
+		if err := shardPairHists(ctx, st, tt.Syms, maxSym, wmax, chunks[i][0], chunks[i][1]); err != nil {
+			return err
+		}
+		mu.Lock()
+		acc.fold(st)
+		mu.Unlock()
+		return nil
 	})
 	if err != nil {
-		for _, st := range states {
-			if st != nil {
-				arena.putShard(st)
-			}
-		}
 		return nil, err
 	}
-	minW := reduceMinW(states, occCount, arena)
-	for _, st := range states {
-		arena.putShard(st)
-	}
-	return minW, nil
+	return reduceMinW(acc, arena), nil
 }
 
-// reduceMinW merges the shards' coverage rows, in trace order, into the
-// first shard's and folds them into the minimal-affine-window table: a
-// pair {x, y} becomes affine at the larger of its two rows' depths once
-// y covers every occurrence of x and x every occurrence of y. That is
-// the smallest w at which the per-occurrence coverage histograms of both
-// symbols reach their occurrence counts: when a histogram sums to the
-// count, its cumulative sum first reaches the count at its largest
-// non-empty depth. Shared by the buffered build and the streaming
-// Feeder — counts sum and depths take the max over any contiguous
+// reduceMinW reads the minimal-affine-window table off the folded
+// candidate lists: a pair {x, y} is affine once y covers every
+// occurrence of x and x every occurrence of y, that is, once each is in
+// the other's list, and it becomes affine at the larger of the two
+// lists' depths. Shared by the buffered build and the streaming Feeder:
+// the lists intersect to the same sets and depths over any contiguous
 // sharding, so both paths reduce to the same table.
-func reduceMinW(states []*shardState, occCount []int64, arena *Arena) *flathash.Sum64 {
-	rows := &states[0].rows
-	for _, st := range states[1:] {
-		rows.MergeFrom(&st.rows, mergeCover)
-	}
+func reduceMinW(c *candLists, arena *Arena) *flathash.Sum64 {
 	minW := arena.getMinW()
-	for x := int32(0); x < int32(rows.NumRows()); x++ {
-		for _, e := range rows.Row(x) {
-			y := e.Partner
-			if y <= x || int64(e.Val.count) != occCount[x] {
-				continue // empty slot, pair visited from y's row, or x not covered
+	for x := int32(0); x < int32(len(c.heads)); x++ {
+		for _, p := range c.list(x) {
+			if p.sym < x {
+				continue // visited from p.sym's list
 			}
-			back, _ := rows.Get(y, x)
-			if int64(back.count) != occCount[y] {
-				continue
+			for _, q := range c.list(p.sym) {
+				if q.sym == x {
+					// Depths are at least 2, so 0 (the table's absent
+					// value) keeps meaning "never affine".
+					minW.Set(pairKey(x, p.sym), int64(max(p.depth, q.depth)))
+					break
+				}
 			}
-			// Depths are at least 2, so 0 (the table's absent value)
-			// keeps meaning "never affine".
-			minW.Set(pairKey(x, y), int64(max(e.Val.depth, back.depth)))
 		}
 	}
 	return minW
 }
 
 // shardPairHists runs the two stack passes over positions [lo, hi) and
-// accumulates the shard's coverage into st.rows: for each occurrence of
-// x and each partner y within wmax, row x, partner y counts the
-// occurrence and keeps the max of its minimal coverage depths.
+// narrows the shard's candidate lists: for each occurrence of x, x's
+// list keeps the partners within wmax of it, each at the larger of its
+// minimal coverage depths.
 func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym int32, wmax, lo, hi int) error {
 	st.prepare(maxSym, wmax)
 
-	// Pass 1 (forward): snapshot for each position the top wmax of the
-	// LRU stack straight into the span buffer, in depth order. Entry 0 of
-	// a span is the current symbol itself (the stack top, depth 1), so the
-	// partner at span index k has backward-coverage depth k+1. Storing the
-	// snapshot verbatim avoids an intermediate buffer and copy. The
-	// warm-up replays the span holding the last wmax distinct symbols
-	// before lo, which fully determines the stack's top wmax.
+	// Pass 1 (forward): snapshot for each position the top-wmax window
+	// below the current symbol (the stack top, depth 1) straight into the
+	// span buffer, in depth order, so the partner at span index k has
+	// backward-coverage depth k+2. The warm-up replays the span holding
+	// the last wmax distinct symbols before lo, which fully determines the
+	// stack's top wmax.
 	if cap(st.offsets) < hi-lo+1 {
 		st.offsets = make([]int32, hi-lo+1)
 	} else {
 		st.offsets = st.offsets[:hi-lo+1]
 	}
-	// Each span holds at most wmax entries, so sizing the buffer up front
-	// turns every snapshot append into a plain store (no growth copies).
-	if spanCap := (hi - lo) * wmax; cap(st.partnerSym) < spanCap {
+	// Each span holds at most wmax-1 entries, so sizing the buffer up
+	// front turns every snapshot append into a plain copy (no growth
+	// copies).
+	if spanCap := (hi - lo) * (wmax - 1); cap(st.partnerSym) < spanCap {
 		st.partnerSym = make([]int32, 0, spanCap)
 	} else {
 		st.partnerSym = st.partnerSym[:0]
 	}
-	st.stack.Reset(maxSym)
-	stack := &st.stack
+	win := &st.win
 	for i := st.warmBeforeScratch(syms, lo, wmax); i < lo; i++ {
-		stack.Access(syms[i])
+		win.access(syms[i])
 	}
 	for i := lo; i < hi; i++ {
 		if i&cancelCheckMask == 0 {
@@ -451,22 +453,23 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 				return err
 			}
 		}
-		stack.Access(syms[i])
+		win.access(syms[i])
 		st.offsets[i-lo] = int32(len(st.partnerSym))
-		st.partnerSym = stack.AppendTopK(st.partnerSym, wmax)
+		st.partnerSym = append(st.partnerSym, win.syms[1:]...)
 	}
 	st.offsets[hi-lo] = int32(len(st.partnerSym))
 
 	// Pass 2 (backward, over the reversed trace): merge forward coverage
-	// with pass 1's backward coverage per occurrence, and fold minima
-	// into the occurrence's own row. The warm-up replays, in reverse
-	// order, the span holding the first wmax distinct symbols at or
-	// after hi. The merge scratch is the epoch-stamped dense array of
+	// with pass 1's backward coverage per occurrence, and fold the minima
+	// into the occurrence's candidate list. The warm-up replays, in
+	// reverse order, the span holding the first wmax distinct symbols at
+	// or after hi. The merge scratch is the epoch-stamped dense array of
 	// shardState: one load and store per partner instead of a linear
-	// scan over the merged set.
-	st.stack.Reset(maxSym)
+	// scan over the merged set. A symbol whose list is already empty
+	// needs no merge at all.
+	win.reset(wmax)
 	for i := st.warmAfterScratch(syms, hi, wmax) - 1; i >= hi; i-- {
-		stack.Access(syms[i])
+		win.access(syms[i])
 	}
 	for i := hi - 1; i >= lo; i-- {
 		if i&cancelCheckMask == 0 {
@@ -475,24 +478,14 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 			}
 		}
 		cur := syms[i]
-		stack.Access(cur)
-		st.bumpEpoch()
-		// Span entry 0 is cur itself; partners start at index 1 with
-		// backward-coverage depth 2.
-		base := st.offsets[i-lo]
-		for k, y := range st.partnerSym[base+1 : st.offsets[i-lo+1]] {
-			st.add(y, k+2)
+		win.access(cur)
+		if st.lists.heads[cur].n == 0 {
+			continue
 		}
-		st.topk = stack.AppendTopK(st.topk[:0], wmax)
-		for d := 1; d < len(st.topk); d++ {
-			st.add(st.topk[d], d+1)
-		}
-		row := st.rows.Cursor(cur)
-		for _, y := range st.touched {
-			c := row.Ref(y)
-			c.count++
-			c.depth = max(c.depth, st.depthOf(y))
-		}
+		// Window entry 0 is cur itself.
+		back, fwd := st.partnerSym[st.offsets[i-lo]:st.offsets[i-lo+1]], win.syms[1:]
+		st.mark(back, fwd)
+		st.cover(cur, back, fwd)
 	}
 	return nil
 }

@@ -9,32 +9,30 @@ import (
 	"codelayout/internal/parallel"
 )
 
-// defaultFeedShardSpan is the streamed shard span when Options leaves it
-// unset: large enough that the warm-up replay (up to wmax distinct
-// symbols on each side) is noise against the shard body.
-const defaultFeedShardSpan = 1 << 16
-
 // Feeder runs the stack-simulation analysis incrementally, over a trace
 // that arrives in chunks — layoutd feeding decoded upload chunks into
 // the kernel while the rest of the trace is still on the network. It
 // produces a Hierarchy byte-identical to BuildHierarchyCtx over the
-// concatenated input: the per-shard coverage rows merge exactly for ANY
-// contiguous sharding — counts add, depths take the max (the sharded-merge
-// determinism invariant, DESIGN.md §7) — so shards cut at arrival-dictated
-// boundaries merge to the same minimal-window table the buffered build
-// computes.
+// concatenated input: the per-shard candidate lists fold exactly for
+// ANY contiguous sharding — lists intersect, depths take the max (the
+// sharded-merge determinism invariant, DESIGN.md §7) — so shards cut at
+// arrival-dictated boundaries fold to the same minimal-window table the
+// buffered build computes.
 //
 // The feeder keeps a single slab: the undispatched body plus just
 // enough preceding context for the next shard's warm-up replay. When
 // the body reaches the shard span, the cut position is remembered and
 // the shard is dispatched as soon as wmax distinct symbols have arrived
 // past it (the forward warm-up the backward pass needs); the slab then
-// shrinks to warmBefore(cut) onward. In-flight memory is therefore
-// bounded by the shard span, the warm spans, and the FeedPool's
-// 2×workers in-flight cap — not by the trace length. On low-diversity
-// tails (fewer than wmax distinct symbols ever arriving after a cut)
-// the pending shard is held until Finish, degrading memory to the tail
-// length but never correctness.
+// shrinks to warmBefore(cut) onward. A shard takes its working state
+// from the arena when it starts, folds its lists into the feeder's one
+// accumulator the moment it finishes, and hands the state straight
+// back. In-flight memory is therefore bounded by the shard span, the
+// warm spans, the FeedPool's 2×workers in-flight cap and the
+// accumulator (at most 2·(wmax−1) candidates per symbol) — not by the
+// trace length. On low-diversity tails (fewer than wmax distinct symbols
+// ever arriving after a cut) the pending shard is held until Finish,
+// degrading memory to the tail length but never correctness.
 //
 // A Feeder is not safe for concurrent use; call Feed from one
 // goroutine, then exactly one of Finish or Abort.
@@ -61,8 +59,10 @@ type Feeder struct {
 	pendingHi int // local cut index awaiting wmax distinct arrivals; -1 none
 	distinct  int
 
-	states   []*shardState // dispatched shards, in trace order
-	slabPool sync.Pool     // *[]int32
+	mu  sync.Mutex // guards acc, which the pool's workers fold into
+	acc *candLists // the lists of every shard finished so far
+
+	slabPool sync.Pool // *[]int32
 	err      error
 }
 
@@ -77,7 +77,7 @@ func NewFeeder(ctx context.Context, opt Options) *Feeder {
 	}
 	target := opt.FeedShardSpan
 	if target <= 0 {
-		target = defaultFeedShardSpan
+		target = defaultShardSpan
 	}
 	if target < minShardSpan*wmax {
 		target = minShardSpan * wmax
@@ -89,6 +89,7 @@ func NewFeeder(ctx context.Context, opt Options) *Feeder {
 		pool:        parallel.NewFeedPool(ctx, opt.Workers),
 		prev:        -1,
 		pendingHi:   -1,
+		acc:         opt.Arena.getLists(),
 	}
 }
 
@@ -200,25 +201,40 @@ func (f *Feeder) putSlab(s []int32) {
 // the next shard warms up exactly as the full-trace simulation would.
 func (f *Feeder) dispatch(hi int) error {
 	lo, p := f.body, f.warmStart(hi)
-	slab, maxSym, wmax := f.slab, f.maxSym, f.wmax
+	slab := f.slab
 	next := append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
-	st := f.arena.getShard()
-	f.states = append(f.states, st)
-	err := f.pool.Submit(func(ctx context.Context) error {
-		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
-		f.putSlab(slab)
-		return err
-	})
+	err := f.submit(slab, lo, hi)
 	f.slab = next
 	f.body = hi - p
 	f.pendingHi = -1
 	return err
 }
 
+// submit hands shard [lo, hi) of slab to the pool. The task borrows a
+// state only while it runs: it folds the shard's lists into the
+// accumulator as soon as its passes finish and returns the state to the
+// arena, so a finished shard holds nothing.
+func (f *Feeder) submit(slab []int32, lo, hi int) error {
+	maxSym, wmax := f.maxSym, f.wmax
+	return f.pool.Submit(func(ctx context.Context) error {
+		st := f.arena.getShard()
+		defer f.arena.putShard(st)
+		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
+		f.putSlab(slab)
+		if err != nil {
+			return err
+		}
+		f.mu.Lock()
+		f.acc.fold(st)
+		f.mu.Unlock()
+		return nil
+	})
+}
+
 // Finish seals the stream: the remaining body becomes the last shard
 // (its backward warm-up span ends at the true trace end, like the last
-// buffered chunk's), every shard's coverage rows merge in trace order,
-// and the hierarchy is built exactly as BuildHierarchyCtx builds it.
+// buffered chunk's), and once every shard has folded, the hierarchy is
+// built exactly as BuildHierarchyCtx builds it.
 func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
@@ -239,34 +255,22 @@ func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 
 // minWindows seals the stream and returns the minimal-window table
 // pairMinWindowsStack computes for the concatenated input, or nil for
-// an empty trace. The shards go back to the arena either way.
+// an empty trace. The accumulator goes back to the arena either way.
 func (f *Feeder) minWindows() (*flathash.Sum64, error) {
 	if f.err == nil && f.body < len(f.slab) {
-		f.dispatchFinal()
+		if err := f.submit(f.slab, f.body, len(f.slab)); err != nil {
+			f.err = err
+		}
+		f.slab = nil
 	}
 	defer f.release()
 	if err := f.pool.Wait(); err != nil {
 		return nil, err
 	}
-	if f.err != nil || len(f.states) == 0 {
+	if f.err != nil || f.n == 0 {
 		return nil, f.err
 	}
-	return reduceMinW(f.states, f.occCount, f.arena), nil
-}
-
-func (f *Feeder) dispatchFinal() {
-	lo, hi := f.body, len(f.slab)
-	slab, maxSym, wmax := f.slab, f.maxSym, f.wmax
-	st := f.arena.getShard()
-	f.states = append(f.states, st)
-	if err := f.pool.Submit(func(ctx context.Context) error {
-		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
-		f.putSlab(slab)
-		return err
-	}); err != nil && f.err == nil {
-		f.err = err
-	}
-	f.slab = nil
+	return reduceMinW(f.acc, f.arena), nil
 }
 
 // Abort discards the stream: it drains in-flight shards and recycles
@@ -277,9 +281,7 @@ func (f *Feeder) Abort() {
 }
 
 func (f *Feeder) release() {
-	for _, st := range f.states {
-		f.arena.putShard(st)
-	}
-	f.states = nil
+	f.arena.putLists(f.acc)
+	f.acc = nil
 	f.slab = nil
 }

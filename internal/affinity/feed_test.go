@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"codelayout/internal/trace"
@@ -157,6 +159,78 @@ func TestFeederCancellation(t *testing.T) {
 		t.Fatal("canceled feeder reported no error")
 	}
 	f.Abort()
+}
+
+// TestFeederMemoryBounded: what a Feeder holds before Finish is
+// bounded by its shard span, not by the trace length. 403.gcc's
+// basic-block profile tiled 16 times (about 4.4M references, 68
+// default-span shards) is fed in 8,192-reference chunks at Workers 1
+// and 2. Once the last Feed has returned and the dispatched shards have
+// finished, the live heap may exceed the heap before the first Feed by
+// at most 64 MB (a feeder that kept every shard's state held about
+// 455 MB), and the hierarchy must equal the buffered build's.
+func TestFeederMemoryBounded(t *testing.T) {
+	const tiles, bound = 16, 64 << 20
+	one := bbProfile(t, "403.gcc").Syms
+	syms := make([]int32, 0, tiles*len(one))
+	for range tiles {
+		syms = append(syms, one...)
+	}
+	want := BuildHierarchy(trace.New(syms), Options{Workers: 1})
+	for _, workers := range []int{1, 2} {
+		ctx := context.Background()
+		before := liveHeap()
+		f := NewFeeder(ctx, Options{Workers: workers})
+		for rest := syms; len(rest) > 0; {
+			c := min(8192, len(rest))
+			if err := f.Feed(rest[:c]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[c:]
+		}
+		drain(t, f, workers)
+		held := int64(liveHeap()) - int64(before)
+		got, err := f.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("workers=%d: %d references, %.1f MB held before Finish", workers, len(syms), float64(held)/(1<<20))
+		if held > bound {
+			t.Errorf("workers=%d: the feeder held %.1f MB before Finish, bound %d MB", workers, float64(held)/(1<<20), bound>>20)
+		}
+		if !reflect.DeepEqual(got.Levels, want.Levels) {
+			t.Errorf("workers=%d: streamed hierarchy differs from the buffered build", workers)
+		}
+	}
+}
+
+// drain returns once every shard f has dispatched has finished, so a
+// measurement sees what the feeder keeps rather than the shards still
+// running: it occupies each of the pool's workers with a task that
+// waits for the others, and no worker starts one before finishing its
+// earlier tasks.
+func drain(t *testing.T, f *Feeder, workers int) {
+	t.Helper()
+	var all sync.WaitGroup
+	all.Add(workers)
+	for range workers {
+		if err := f.pool.Submit(func(context.Context) error {
+			all.Done()
+			all.Wait()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all.Wait()
+}
+
+// liveHeap returns the heap bytes live after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // BenchmarkStreamFeed measures the feeder end-to-end on a phased trace,

@@ -166,8 +166,8 @@ func TestRowsMatchReferenceOnSuite(t *testing.T) {
 		if err := shardPairHists(context.Background(), st, tt.Syms, tt.MaxSym(), DefaultWMax, 0, len(tt.Syms)); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %d references, %d affine pairs; one shard's rows: %d entries in %d bytes",
-			name, tt.Len(), len(want), st.rows.Len(), st.rows.Bytes())
+		t.Logf("%s: %d references, %d affine pairs; one shard's candidate lists: %d entries in %d bytes",
+			name, tt.Len(), len(want), st.lists.Len(), st.lists.Bytes())
 	}
 }
 

@@ -35,13 +35,25 @@ type Topology struct {
 	SlotsPerDomain int `json:"slotsPerDomain"`
 }
 
+// MaxTopologyDim bounds both Domains and SlotsPerDomain. The solver
+// keeps state per domain and scans every domain at each search node, so
+// an unbounded count could exhaust memory or stall a solve; under the
+// bound, Capacity cannot overflow. Real shared-cache machines have far
+// fewer domains and slots.
+const MaxTopologyDim = 1024
+
 // Capacity is the number of programs the topology can host.
 func (t Topology) Capacity() int { return t.Domains * t.SlotsPerDomain }
 
-// Validate checks the topology can host n programs.
+// Validate checks the topology is within MaxTopologyDim on both axes
+// and can host n programs.
 func (t Topology) Validate(n int) error {
 	if t.Domains <= 0 || t.SlotsPerDomain <= 0 {
 		return fmt.Errorf("schedule: non-positive topology %+v", t)
+	}
+	if t.Domains > MaxTopologyDim || t.SlotsPerDomain > MaxTopologyDim {
+		return fmt.Errorf("schedule: topology %+v exceeds %d domains or %d slots per domain",
+			t, MaxTopologyDim, MaxTopologyDim)
 	}
 	if n > t.Capacity() {
 		return fmt.Errorf("schedule: %d programs exceed topology capacity %d (%d domains x %d slots)",

@@ -203,6 +203,26 @@ func TestValidation(t *testing.T) {
 	if _, err := Solve(ctx, ragged, Topology{Domains: 1, SlotsPerDomain: 2}); err == nil {
 		t.Fatal("ragged matrix should be rejected")
 	}
+	for _, tc := range []struct {
+		topo Topology
+		ok   bool
+	}{
+		{Topology{Domains: MaxTopologyDim, SlotsPerDomain: MaxTopologyDim}, true},
+		{Topology{Domains: MaxTopologyDim + 1, SlotsPerDomain: 1}, false},
+		{Topology{Domains: 1, SlotsPerDomain: MaxTopologyDim + 1}, false},
+		{Topology{Domains: 1 << 62, SlotsPerDomain: 1}, false},
+		{Topology{Domains: 1 << 62, SlotsPerDomain: 4}, false}, // capacity overflows to 0
+		{Topology{Domains: 3, SlotsPerDomain: 1 << 62}, false}, // capacity overflows to a negative
+	} {
+		if err := tc.topo.Validate(2); (err == nil) != tc.ok {
+			t.Fatalf("Validate(%+v) = %v, want ok=%v", tc.topo, err, tc.ok)
+		}
+	}
+	// A topology at the bound solves.
+	p, err := Solve(ctx, randMatrix(rand.New(rand.NewSource(1)), 4), Topology{Domains: MaxTopologyDim, SlotsPerDomain: MaxTopologyDim})
+	if err != nil || p.Cost != 0 {
+		t.Fatalf("Solve at the topology bound = %+v, %v; want 4 isolated programs", p, err)
+	}
 }
 
 // TestSpreadWhenRoomAllows: with more domains than programs, zero-cost

@@ -357,6 +357,8 @@ func TestScheduleValidation(t *testing.T) {
 		{"unknown digest", map[string]any{"digests": []string{d, "deadbeef" + d[8:]}, "topology": topo}, http.StatusNotFound},
 		{"huge cache", map[string]any{"digests": []string{d, d}, "topology": topo,
 			"cache": map[string]any{"SizeBytes": 1125899906842624, "Assoc": 1, "LineBytes": 1}}, http.StatusBadRequest},
+		{"huge topology", map[string]any{"digests": []string{d, d},
+			"topology": map[string]int{"domains": 1 << 62, "slotsPerDomain": 1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, msg, code := postJSON(t, ts, "/v1/schedule", tc.body)

@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"codelayout/internal/cachesim"
+	"codelayout/internal/schedule"
 )
 
 // FuzzCorunScheduleBodies runs arbitrary bytes through the validation
 // of POST /v1/corun and POST /v1/schedule bodies: the handlers' strict
 // decoding, corunConfig and, for a schedule, Topology.Validate. No input
-// may panic, and every geometry accepted stays within cachesim.MaxWays.
+// may panic, every geometry accepted stays within cachesim.MaxWays, and
+// every topology accepted stays within schedule.MaxTopologyDim on both
+// axes with a positive capacity.
 // The seeds are the adversarial bodies of TestCorunAdversarialInputs and
 // TestScheduleValidation.
 //
@@ -30,6 +33,8 @@ func FuzzCorunScheduleBodies(f *testing.F) {
 		`{"digests":["x","x"],"topology":{}}`,
 		`{"digests":["x","x","x"],"topology":{"domains":1,"slotsPerDomain":2}}`,
 		`{"digests":["x","x"],"topology":{"domains":4611686018427387904,"slotsPerDomain":4}}`,
+		`{"digests":["x","x"],"topology":{"domains":4611686018427387904,"slotsPerDomain":1}}`,
+		`{"digests":["x","x"],"topology":{"domains":1024,"slotsPerDomain":1024}}`,
 		`{"digests":["x","x"],"topology":{"domains":2,"slotsPerDomain":2},"cache":{"SizeBytes":1125899906842624,"Assoc":1,"LineBytes":1}}`,
 	} {
 		f.Add([]byte(seed))
@@ -54,7 +59,12 @@ func FuzzCorunScheduleBodies(f *testing.F) {
 		var sr scheduleRequest
 		if decodeStrict(bytes.NewReader(body), &sr) == nil {
 			checkGeometry(t, sr.Cache)
-			_ = sr.Topology.Validate(len(sr.Digests))
+			topo := sr.Topology
+			if topo.Validate(len(sr.Digests)) == nil &&
+				(topo.Domains > schedule.MaxTopologyDim || topo.SlotsPerDomain > schedule.MaxTopologyDim || topo.Capacity() <= 0) {
+				t.Fatalf("accepted topology %+v is beyond %d per axis or has capacity %d",
+					topo, schedule.MaxTopologyDim, topo.Capacity())
+			}
 		}
 	})
 }

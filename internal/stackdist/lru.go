@@ -17,7 +17,8 @@ type node struct {
 // LRUStack is an LRU stack of symbols: the most recently accessed symbol
 // is on top. Lookup is O(1) via a dense index keyed by symbol ID; the
 // linked list preserves recency order so callers can scan the top-w
-// prefix, which is what the affinity analysis and TRG construction need.
+// prefix, which is what the TRG construction needs (the affinity
+// passes keep only the top wmax, in a window of their own).
 //
 // The zero value is not usable; call NewLRUStack.
 type LRUStack struct {
@@ -95,11 +96,10 @@ func (s *LRUStack) TopK(k int, visit func(sym int32) bool) {
 }
 
 // AppendTopK appends up to k symbols from the top of the stack (most
-// recent first) to dst and returns the extended slice. It is the
-// amortization-friendly form of TopK: the analysis kernels take one
-// snapshot of the hot stack prefix per access into a reusable buffer and
-// then scan it as a plain slice, instead of paying an indirect call per
-// visited element.
+// recent first) to dst and returns the extended slice: the snapshot
+// form of TopK, scanned as a plain slice instead of paying an indirect
+// call per visited element. The affinity passes keep only the top k in
+// a window of their own, which their tests hold to this snapshot.
 func (s *LRUStack) AppendTopK(dst []int32, k int) []int32 {
 	idx := s.head
 	nodes := s.nodes

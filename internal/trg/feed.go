@@ -14,17 +14,22 @@ const defaultFeedShardSpan = 1 << 16
 
 // Feeder constructs the TRG incrementally over a trace arriving in
 // chunks, producing a graph whose node order and edge weights are
-// identical to BuildCtx over the concatenated input: per-shard partial
-// graphs merge exactly for ANY contiguous sharding (weights sum, node
-// lists concatenate in trace order), so arrival-cut shards land on the
-// same graph the buffered build computes.
+// identical to BuildCtx over the concatenated input: per-shard rows add
+// exactly for ANY contiguous sharding, in any order (weights sum), and
+// the node order is the feeder's own first-occurrence list, so
+// arrival-cut shards land on the same graph the buffered build computes.
 //
 // Unlike the affinity analysis, the construction pass only warms
 // backward (the interleaving scan looks at the stack of past accesses),
 // so a shard dispatches the moment its body fills — no wait for
 // post-cut symbols. The slab kept in memory is bounded by the shard
 // span plus the warm span; dispatched slabs recycle through a pool once
-// their shard completes.
+// their shard completes. A shard takes its working state from the
+// arena when it starts, folds its rows into the feeder's one
+// accumulated graph the moment it finishes, and hands the state
+// straight back, so memory before Finish is bounded by the shard span,
+// the FeedPool's 2×workers in-flight cap and the accumulated graph —
+// not by the trace length.
 //
 // A Feeder is not safe for concurrent use; call Feed from one
 // goroutine, then exactly one of Finish or Abort.
@@ -40,12 +45,16 @@ type Feeder struct {
 	prev   int32 // last accepted symbol, for cross-chunk trimming
 	n      int   // trimmed occurrences accepted so far
 	maxSym int32
+	known  []bool  // symbols accepted so far
+	order  []int32 // symbols in first-occurrence order
 
 	seen      []int64 // epoch stamps for the warm-start scan
 	seenEpoch int64
 
-	states   []*buildState // dispatched shards, in trace order
-	slabPool sync.Pool     // *[]int32
+	mu sync.Mutex // guards g, which the pool's workers fold into
+	g  *Graph     // the rows of every shard finished so far; nil before the first
+
+	slabPool sync.Pool // *[]int32
 	err      error
 }
 
@@ -98,9 +107,14 @@ func (f *Feeder) Feed(chunk []int32) error {
 			seen := make([]int64, n)
 			copy(seen, f.seen)
 			f.seen = seen
+			f.known = append(f.known, make([]bool, n-len(f.known))...)
 		}
 		if s > f.maxSym {
 			f.maxSym = s
+		}
+		if !f.known[s] {
+			f.known[s] = true
+			f.order = append(f.order, s)
 		}
 		f.n++
 		f.slab = append(f.slab, s)
@@ -152,49 +166,60 @@ func (f *Feeder) putSlab(s []int32) {
 // pool, and starts a fresh slab at the shard's warm-up boundary.
 func (f *Feeder) dispatch(hi int) error {
 	lo, p := f.body, f.warmStart(hi)
-	slab, maxSym, limit := f.slab, f.maxSym, f.limit
+	slab := f.slab
 	next := append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
-	st := f.arena.getShard()
-	if st.g == nil {
-		st.g = NewGraph()
-	} else {
-		st.g.Reset()
-	}
-	st.g.ensureSym(maxSym)
-	f.states = append(f.states, st)
-	err := f.pool.Submit(func(ctx context.Context) error {
-		err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
-		f.putSlab(slab)
-		return err
-	})
+	err := f.submit(slab, lo, hi)
 	f.slab = next
 	f.body = hi - p
 	return err
 }
 
-// Finish seals the stream: the remaining body becomes the last shard,
-// and the later shards' partial graphs merge in trace order into the
-// first's — rows add row by row and node lists concatenate, reproducing
-// the global first-occurrence node order exactly as BuildCtx's merge
-// does.
-// The caller owns the returned graph (recycle it via Arena.PutGraph).
-func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
-	if f.err == nil && f.body < len(f.slab) {
-		lo, hi := f.body, len(f.slab)
-		slab, maxSym, limit := f.slab, f.maxSym, f.limit
+// submit hands shard [lo, hi) of slab to the pool. The task borrows a
+// state only while it runs and folds the shard's rows into the
+// accumulated graph as soon as its pass finishes.
+func (f *Feeder) submit(slab []int32, lo, hi int) error {
+	maxSym, limit := f.maxSym, f.limit
+	return f.pool.Submit(func(ctx context.Context) error {
 		st := f.arena.getShard()
+		defer f.arena.putShard(st)
 		if st.g == nil {
 			st.g = NewGraph()
 		} else {
 			st.g.Reset()
 		}
 		st.g.ensureSym(maxSym)
-		f.states = append(f.states, st)
-		if err := f.pool.Submit(func(ctx context.Context) error {
-			err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
-			f.putSlab(slab)
+		err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
+		f.putSlab(slab)
+		if err != nil {
 			return err
-		}); err != nil && f.err == nil {
+		}
+		f.fold(st)
+		return nil
+	})
+}
+
+// fold adds a finished shard's rows into the accumulated graph. The
+// first shard to finish gives its partial graph as the accumulator, as
+// BuildCtx keeps its first shard's, and its state takes a pooled graph
+// in its place.
+func (f *Feeder) fold(st *buildState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.g == nil {
+		f.g, st.g = st.g, f.arena.GetGraph()
+		return
+	}
+	f.g.rows.MergeFrom(&st.g.rows, addWeight)
+}
+
+// Finish seals the stream: the remaining body becomes the last shard,
+// and once every shard has folded its rows, the accumulated graph takes
+// the feeder's first-occurrence node order — the order BuildCtx's
+// concatenated shard node lists reproduce.
+// The caller owns the returned graph (recycle it via Arena.PutGraph).
+func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
+	if f.err == nil && f.body < len(f.slab) {
+		if err := f.submit(f.slab, f.body, len(f.slab)); err != nil {
 			f.err = err
 		}
 		f.slab = nil
@@ -207,17 +232,13 @@ func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 		f.release()
 		return nil, err
 	}
-	g := f.arena.GetGraph()
-	if f.n == 0 {
-		f.release()
-		return g, nil
+	g := f.g
+	f.g = nil
+	if g == nil {
+		g = f.arena.GetGraph() // empty trace
 	}
-	// As in BuildCtx, the first shard's partial graph becomes the result.
-	g, f.states[0].g = f.states[0].g, g
 	g.ensureSym(f.maxSym)
-	for _, st := range f.states[1:] {
-		g.merge(st.g)
-	}
+	g.setNodes(f.order)
 	f.release()
 	return g, nil
 }
@@ -230,9 +251,7 @@ func (f *Feeder) Abort() {
 }
 
 func (f *Feeder) release() {
-	for _, st := range f.states {
-		f.arena.putShard(st)
-	}
-	f.states = nil
+	f.arena.PutGraph(f.g)
+	f.g = nil
 	f.slab = nil
 }

@@ -344,6 +344,18 @@ func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, ar
 	return g, nil
 }
 
+// setNodes replaces g's node list with order, which lists every symbol
+// of g's edges in first-occurrence order.
+func (g *Graph) setNodes(order []int32) {
+	for _, s := range g.nodes {
+		g.seen[s] = false
+	}
+	g.nodes = g.nodes[:0]
+	for _, s := range order {
+		g.AddNode(s)
+	}
+}
+
 // merge adds a later shard's partial graph into g: its new nodes follow
 // g's in first-occurrence order, and its rows add row by row.
 func (g *Graph) merge(part *Graph) {
