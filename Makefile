@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test bench-module race race-stress bench bench-smoke bench-json bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs ci
+.PHONY: all build vet fmt fmt-check test bench-module race race-stress fuzz-smoke bench bench-smoke bench-json bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs ci
 
 all: build
 
@@ -39,6 +39,20 @@ race:
 RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestRing.*)$$
 race-stress:
 	$(GO) test -race -count=20 -run '$(RACE_STRESS)' ./internal/server ./internal/obs
+
+# Fuzz smoke: every native fuzz target in the module, found with
+# `go test -list`, for 10 s each. `go test -fuzz` takes one target in one
+# package, so the targets run one after another; a failure stops the
+# run and leaves its input under the package's testdata/fuzz.
+fuzz-smoke:
+	@targets=$$($(GO) test -list '^Fuzz' ./...) || exit 1; \
+	echo "$$targets" | awk '/^Fuzz/ { fns = fns " " $$1 } /^ok / { if (fns != "") print $$2 fns; fns = "" }' | \
+	while read -r pkg fns; do \
+		for fn in $$fns; do \
+			echo "fuzz-smoke: $$fn in $$pkg"; \
+			$(GO) test -run='^$$' -fuzz="^$$fn\$$" -fuzztime=10s "$$pkg" || exit 1; \
+		done; \
+	done
 
 # Full benchmark run (slow: regenerates every table and figure).
 bench:
@@ -114,4 +128,4 @@ smoke-chaos:
 smoke-obs:
 	sh scripts/smoke_obs.sh
 
-ci: build vet fmt-check test bench-module race race-stress bench-smoke bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs
+ci: build vet fmt-check test bench-module race race-stress fuzz-smoke bench-smoke bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs

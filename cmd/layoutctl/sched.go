@@ -159,7 +159,7 @@ type scheduleView struct {
 	} `json:"placement"`
 	WorstCost     float64 `json:"worstCost"`
 	WorstKnown    bool    `json:"worstKnown"`
-	PairsComputed int     `json:"pairsComputed"`
+	PairsComposed int     `json:"pairsComposed"`
 	PairsCached   int     `json:"pairsCached"`
 }
 
@@ -199,8 +199,8 @@ func doSchedule(r *retrier, base, list string, domains, slots int, cacheGeom str
 		return fmt.Errorf("schedule: bad response %q: %w", raw, err)
 	}
 	doc := wrap.Schedule
-	fmt.Printf("schedule %s cached=%v (%d pairs simulated, %d from cache)\n\n",
-		doc.Digest, v.Cached, doc.PairsComputed, doc.PairsCached)
+	fmt.Printf("schedule %s cached=%v (%d pairs composed, %d from cache)\n\n",
+		doc.Digest, v.Cached, doc.PairsComposed, doc.PairsCached)
 	m := textplot.Matrix{
 		Title:  "pairwise interference (Eq-1 predicted co-run misses)",
 		Labels: shortLabels(doc.Labels),

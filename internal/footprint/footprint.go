@@ -14,8 +14,9 @@
 //
 // A curve is computed over a trace held in memory, in O(n + m) time
 // with one per-symbol index beside the curve itself (NewCurveWorkers).
-// There is no chunk-fed form: layoutd computes curves only in co-run
-// pair analysis, over the line trace of a retained trace.
+// There is no chunk-fed form: layoutd computes curves only for co-run
+// pair analyses and schedule matrices, over the line trace of a
+// retained trace.
 package footprint
 
 import (

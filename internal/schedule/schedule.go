@@ -88,7 +88,8 @@ func Cost(cost [][]float64, domains [][]int) float64 {
 }
 
 // ValidateMatrix checks that cost is square, symmetric, zero-diagonal,
-// and free of NaNs — the contract the solver assumes.
+// and finite and non-negative — the contract the solver assumes: its
+// branch-and-bound prune holds only when no pair cost is negative.
 func ValidateMatrix(cost [][]float64) error {
 	n := len(cost)
 	for i, row := range cost {
@@ -101,6 +102,9 @@ func ValidateMatrix(cost [][]float64) error {
 		for j, v := range row {
 			if math.IsNaN(v) {
 				return fmt.Errorf("schedule: NaN cost at [%d][%d]", i, j)
+			}
+			if v < 0 || math.IsInf(v, 0) {
+				return fmt.Errorf("schedule: cost [%d][%d]=%v is not finite and non-negative", i, j, v)
 			}
 			if v != cost[j][i] {
 				return fmt.Errorf("schedule: asymmetric cost [%d][%d]=%v vs [%d][%d]=%v",
@@ -121,7 +125,8 @@ const ExactNodeBudget = 1 << 18
 // minimizing total co-resident pair cost. Small instances are solved
 // exactly (Placement.Exact true); larger ones get a deterministic
 // greedy seeding refined by swap/move local search. The matrix must be
-// symmetric with a zero diagonal (see ValidateMatrix).
+// symmetric with a zero diagonal and finite, non-negative costs (see
+// ValidateMatrix).
 func Solve(ctx context.Context, cost [][]float64, topo Topology) (Placement, error) {
 	n := len(cost)
 	if err := topo.Validate(n); err != nil {

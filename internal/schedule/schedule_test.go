@@ -203,6 +203,28 @@ func TestValidation(t *testing.T) {
 	if _, err := Solve(ctx, ragged, Topology{Domains: 1, SlotsPerDomain: 2}); err == nil {
 		t.Fatal("ragged matrix should be rejected")
 	}
+	for _, v := range []float64{-1, -100, math.Inf(1), math.Inf(-1), -math.SmallestNonzeroFloat64} {
+		bad := [][]float64{{0, v}, {v, 0}}
+		if _, err := Solve(ctx, bad, Topology{Domains: 1, SlotsPerDomain: 2}); err == nil {
+			t.Fatalf("cost %v should be rejected", v)
+		}
+	}
+	// A negative cost would break the branch-and-bound prune: on 2x2 with
+	// cost[1][3] = -100 and every other pair 0 or 5, {0,2},{1,3} costs -95
+	// but the pruned search stops at {0,1},{2,3}.
+	neg := [][]float64{
+		{0, 0, 5, 5},
+		{0, 0, 5, -100},
+		{5, 5, 0, 0},
+		{5, -100, 0, 0},
+	}
+	if err := ValidateMatrix(neg); err == nil {
+		t.Fatal("matrix with a negative cost should be rejected")
+	}
+	zero := [][]float64{{0, 0, math.Copysign(0, -1)}, {0, 0, 0}, {math.Copysign(0, -1), 0, 0}}
+	if err := ValidateMatrix(zero); err != nil {
+		t.Fatalf("zero costs (negative zero included) should be accepted: %v", err)
+	}
 	for _, tc := range []struct {
 		topo Topology
 		ok   bool

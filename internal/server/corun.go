@@ -99,9 +99,9 @@ type corunJobRequest struct {
 // corunEntry is one digest's materialized inputs: the cached result, the
 // baseline and rebuilt optimized layouts, and the retained trace.
 // Derived artifacts (footprint curves, solo miss ratios off the default
-// geometry) are memoized per entry because a schedule job reuses them
-// across every pair the entry appears in; the mutex serializes that
-// lazy work.
+// geometry) are memoized per entry: a /v1/corun self-pairing shares one
+// entry between both sides, and a schedule job reads one curve for
+// every cell the entry appears in. The mutex serializes that lazy work.
 type corunEntry struct {
 	res  *Result
 	base *layout.Layout
@@ -368,15 +368,11 @@ func (s *Server) computePair(ctx context.Context, cfg cachesim.Config, a, b *cor
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	curveA := a.curve(ctx, cfg.LineBytes, workers)
-	curveB := b.curve(ctx, cfg.LineBytes, workers)
+	pred := predictPair(cfg, a.curve(ctx, cfg.LineBytes, workers), b.curve(ctx, cfg.LineBytes, workers))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	capacity := float64(cfg.SizeBytes / cfg.LineBytes)
-	predA := footprint.CorunMissRatio(curveA, curveB, capacity)
-	predB := footprint.CorunMissRatio(curveB, curveA, capacity)
-	side := func(e *corunEntry, baseRun, optRun, deployed cachesim.CorunResult, pred float64, curve *footprint.Curve) PairSide {
+	side := func(e *corunEntry, baseRun, optRun, deployed cachesim.CorunResult, k int) PairSide {
 		solo := e.soloMiss(ctx, cfg)
 		corun := deployed.PerThread[0].MissRatio()
 		return PairSide{
@@ -388,12 +384,12 @@ func (s *Server) computePair(ctx context.Context, cfg cachesim.Config, a, b *cor
 			Contention:    corun - solo,
 			Defensiveness: stats.Reduction(baseRun.PerThread[0].MissRatio(), optRun.PerThread[0].MissRatio()),
 			Politeness:    stats.Reduction(baseRun.PerThread[1].MissRatio(), optRun.PerThread[1].MissRatio()),
-			PredMissRatio: pred,
-			PredMisses:    pred * float64(curve.N),
+			PredMissRatio: pred.ratio[k],
+			PredMisses:    pred.misses[k],
 		}
 	}
-	sideA := side(a, res[0], res[1], res[4], predA, curveA)
-	sideB := side(b, res[2], res[3], res[5], predB, curveB)
+	sideA := side(a, res[0], res[1], res[4], 0)
+	sideB := side(b, res[2], res[3], res[5], 1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -402,9 +398,39 @@ func (s *Server) computePair(ctx context.Context, cfg cachesim.Config, a, b *cor
 		Cache:    cfg,
 		A:        sideA,
 		B:        sideB,
-		PairCost: sideA.PredMisses + sideB.PredMisses,
+		PairCost: pred.cost,
 		PeerLaps: [2]int{res[4].PeerLaps, res[5].PeerLaps},
 	}, nil
+}
+
+// pairPrediction is the paper's Eq-1 prediction for one pairing: each
+// side's co-run miss ratio composed from both footprint curves, that
+// ratio scaled by the side's line-fetch count, and the pair cost, the
+// sum of the two counts.
+type pairPrediction struct {
+	ratio  [2]float64
+	misses [2]float64
+	cost   float64
+}
+
+// predictPair composes the Eq-1 prediction of sides a and b from their
+// footprint curves under cfg; ratio and misses follow the argument
+// order, so computePair passes its document's sides A and B in
+// sorted-digest order. It is the only place a pair cost is computed: a
+// pair document's PairCost and a schedule matrix's composed cell come
+// from the same operations, so they agree bit for bit. The conversions
+// round each product before the sum, so no fused multiply-add can make
+// two call sites differ, and the cost does not depend on the argument
+// order because floating-point addition is commutative.
+func predictPair(cfg cachesim.Config, a, b *footprint.Curve) pairPrediction {
+	capacity := float64(cfg.SizeBytes / cfg.LineBytes)
+	var p pairPrediction
+	p.ratio[0] = footprint.CorunMissRatio(a, b, capacity)
+	p.ratio[1] = footprint.CorunMissRatio(b, a, capacity)
+	p.misses[0] = float64(p.ratio[0] * float64(a.N))
+	p.misses[1] = float64(p.ratio[1] * float64(b.N))
+	p.cost = p.misses[0] + p.misses[1]
+	return p
 }
 
 // handleCorunDoc is GET /v1/corun/{digest}: a pair document by content

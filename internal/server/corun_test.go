@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"codelayout/internal/cachesim"
+	"codelayout/internal/footprint"
 	"codelayout/internal/store"
 )
 
@@ -256,8 +257,8 @@ func TestCorunQuarantinedTrace(t *testing.T) {
 
 // TestScheduleEndToEnd: four layouts over a 2x2 topology — the matrix
 // must be symmetric with a zero diagonal, the placement exact and no
-// worse than the enumerated worst case, and the pair cache shared with
-// /v1/corun.
+// worse than the enumerated worst case, and each cell the PairCost a
+// /v1/corun analysis of that pair returns.
 func TestScheduleEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{JobWorkers: 2, QueueDepth: 8, OptWorkers: 1})
 	digests := []string{
@@ -312,21 +313,27 @@ func TestScheduleEndToEnd(t *testing.T) {
 	if placed != n {
 		t.Errorf("placement covers %d of %d programs", placed, n)
 	}
-	if doc.PairsComputed != 6 || doc.PairsCached != 0 {
-		t.Errorf("pairs computed/cached = %d/%d, want 6/0", doc.PairsComputed, doc.PairsCached)
+	if doc.PairsComposed != 6 || doc.PairsCached != 0 || doc.PairsComputed != 0 {
+		t.Errorf("pairs composed/cached/simulated = %d/%d/%d, want 6/0/0",
+			doc.PairsComposed, doc.PairsCached, doc.PairsComputed)
 	}
 	if got := metricValue(t, ts, "layoutd_schedule_pairs_total"); got != 6 {
 		t.Errorf("schedule_pairs_total = %v, want 6", got)
 	}
 
-	// A corun request over two scheduled digests is a pure pair-cache
-	// hit: the matrix already paid for it.
+	// The matrix composed its cells and wrote no pair document, so a
+	// corun request over two scheduled digests runs its own analysis,
+	// whose PairCost is the matrix cell exactly.
 	cv, _, code := postJSON(t, ts, "/v1/corun", map[string]any{"a": digests[0], "b": digests[1]})
-	if code != http.StatusOK || !cv.Cached {
-		t.Fatalf("corun after schedule not served from pair cache: %d %+v", code, cv)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("corun after schedule: status %d", code)
 	}
-	if cv.Corun.PairCost != doc.Matrix[0][1] {
-		t.Errorf("pair cost %v != matrix cell %v", cv.Corun.PairCost, doc.Matrix[0][1])
+	cd := waitJob(t, ts, cv.ID)
+	if cd.Status != StatusDone || cd.Corun == nil {
+		t.Fatalf("corun after schedule: %+v", cd)
+	}
+	if cd.Corun.PairCost != doc.Matrix[0][1] {
+		t.Errorf("pair cost %v != matrix cell %v", cd.Corun.PairCost, doc.Matrix[0][1])
 	}
 
 	// Identical schedule request: served from the schedule cache.
@@ -378,12 +385,12 @@ func TestScheduleCancelMidMatrix(t *testing.T) {
 
 	started := make(chan struct{})
 	var once bool
-	s.pairAnalysis = func(ctx context.Context, cfg cachesim.Config, a, b *corunEntry, workers int) (*CorunDoc, error) {
+	s.matrixCurve = func(ctx context.Context, e *corunEntry, lineBytes int) (*footprint.Curve, error) {
 		if !once {
 			once = true
 			close(started)
 		}
-		<-ctx.Done() // a pair analysis that never finishes on its own
+		<-ctx.Done() // a curve that never finishes on its own
 		return nil, ctx.Err()
 	}
 

@@ -74,9 +74,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.cacheHits = r.Counter("layoutd_cache_hits_total", "Submissions served from the content-addressed cache.")
 	m.corunJobs = r.Counter("layoutd_corun_jobs_total", "Co-run analysis requests accepted at POST /v1/corun.")
 	m.scheduleJobs = r.Counter("layoutd_schedule_jobs_total", "Placement requests accepted at POST /v1/schedule.")
-	m.schedulePairs = r.Counter("layoutd_schedule_pairs_total", "Interference-matrix pairs computed by co-run simulation for schedule jobs.")
+	m.schedulePairs = r.Counter("layoutd_schedule_pairs_total", "Interference-matrix pairs composed from footprint curves (Eq 1, no simulation) for schedule jobs.")
 	m.pairHits = r.Counter("layoutd_pair_cache_hits_total", "Pair lookups served from the content-addressed pair cache.")
-	m.pairMisses = r.Counter("layoutd_pair_cache_misses_total", "Pair lookups that required a co-run analysis.")
+	m.pairMisses = r.Counter("layoutd_pair_cache_misses_total", "Pair lookups the pair cache missed: a co-run analysis, or a schedule matrix cell composed from footprint curves.")
 	r.GaugeFunc("layoutd_queue_depth", "Jobs accepted but not yet running.",
 		func() int64 { return int64(s.pool.QueueDepth()) })
 	r.GaugeFunc("layoutd_jobs_running", "Jobs currently optimizing.",

@@ -49,10 +49,12 @@ func benchPairEntries(b *testing.B) []*corunEntry {
 
 // BenchmarkComputePair measures one /v1/corun pair analysis at the
 // default geometry over suite pairs, with fresh entries (nothing
-// memoized) and Workers 1, as a schedule job runs each pair. "pair" is
-// the whole analysis; "sims", "curves" and "solo" are its parts: the six
-// co-run simulations, both sides' footprint curves (line trace
-// included) and both sides' solo miss ratios. Each reports ms/pair.
+// memoized) and Workers 1. "pair" is the whole analysis; "sims",
+// "curves" and "solo" are its parts: the six co-run simulations, both
+// sides' footprint curves (line trace included) and both sides' solo
+// miss ratios. "cost" is one schedule matrix cell composed over fresh
+// entries: both curves and the Eq-1 prediction, no simulation. Each
+// reports ms/pair.
 func BenchmarkComputePair(b *testing.B) {
 	entries := benchPairEntries(b)
 	type pair struct{ a, b int }
@@ -106,6 +108,19 @@ func BenchmarkComputePair(b *testing.B) {
 			for _, p := range pairs {
 				fresh(entries[p.a]).curve(ctx, cfg.LineBytes, 1)
 				fresh(entries[p.b]).curve(ctx, cfg.LineBytes, 1)
+			}
+		}
+		perPair(b, time.Since(start))
+	})
+	b.Run("cost", func(b *testing.B) {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			for _, p := range pairs {
+				x, y := fresh(entries[p.a]), fresh(entries[p.b])
+				if y.res.Digest < x.res.Digest {
+					x, y = y, x
+				}
+				predictPair(cfg, x.curve(ctx, cfg.LineBytes, 1), y.curve(ctx, cfg.LineBytes, 1))
 			}
 		}
 		perPair(b, time.Since(start))

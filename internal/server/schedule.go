@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"codelayout/internal/cachesim"
+	"codelayout/internal/footprint"
 	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
 	"codelayout/internal/schedule"
@@ -40,7 +40,8 @@ type ScheduleDoc struct {
 	// Labels names each digest "prog/optimizer" for table rendering.
 	Labels []string `json:"labels"`
 	// Matrix[i][j] is the pair cost of co-locating digests i and j: the
-	// total Eq-1 predicted co-run misses of that pairing. Symmetric,
+	// total Eq-1 predicted co-run misses of that pairing, equal bit for
+	// bit to the PairCost of its /v1/corun pair document. Symmetric,
 	// zero diagonal.
 	Matrix [][]float64 `json:"matrix"`
 	// Placement is the solver's domain assignment over matrix indices.
@@ -51,10 +52,18 @@ type ScheduleDoc struct {
 	// buys.
 	WorstCost  float64 `json:"worstCost,omitempty"`
 	WorstKnown bool    `json:"worstKnown"`
-	// PairsComputed counts pair analyses simulated for this matrix;
-	// PairsCached came from the content-addressed pair cache.
-	PairsComputed int `json:"pairsComputed"`
+	// PairsComposed counts the distinct pairs composed for this matrix
+	// from the two entries' footprint curves (Eq 1, no simulation, no
+	// pair document written); PairsCached counts those whose cost came
+	// from a pair document in the content-addressed pair cache.
+	PairsComposed int `json:"pairsComposed"`
 	PairsCached   int `json:"pairsCached"`
+	// PairsComputed counts pair analyses simulated for this matrix. A
+	// schedule composes every pair it does not read from the cache, so
+	// it is 0; documents stored before schedules composed carry the
+	// analyses they ran, and layoutbench's layer replay charges each one
+	// a full pair analysis.
+	PairsComputed int `json:"pairsComputed"`
 	// ElapsedMS is the job wall time (0 for cache hits).
 	ElapsedMS float64 `json:"elapsedMS"`
 }
@@ -85,8 +94,9 @@ func scheduleDigest(digests []string, topo schedule.Topology, cfg cachesim.Confi
 
 // handleSchedule is POST /v1/schedule: compute the pairwise interference
 // matrix over N cached layouts and a placement minimizing total Eq-1
-// predicted misses. Runs as an async job; the matrix reuses pair
-// documents across jobs via the content-addressed pair cache.
+// predicted misses. Runs as an async job; the matrix reads the cost of
+// any pair whose document the content-addressed pair cache holds and
+// composes the rest from footprint curves.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	traceID := requestTraceID(r)
 	logger := s.logger.With("trace_id", traceID)
@@ -179,8 +189,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // runScheduleJob is the pool task behind POST /v1/schedule: assemble the
-// interference matrix (one pair document per distinct digest pair,
-// memoized via the pair cache), then solve the placement.
+// interference matrix (one cost per distinct digest pair, read from the
+// pair cache or composed), then solve the placement.
 func (s *Server) runScheduleJob(poolCtx context.Context, j *Job, req *scheduleJobRequest) {
 	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
 	if !ok {
@@ -202,10 +212,10 @@ func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (
 	n := len(req.entries)
 	msp := obs.StartSpan(ctx, "schedule.matrix")
 
-	// Collect the distinct pair keys: repeated digests mean one document
-	// can fill several matrix cells, so the compute list is deduplicated
-	// before fanning out. Self-cells (i == j) are the zero diagonal, but
-	// the same *digest* at two indices is a real self-pairing.
+	// Collect the distinct pair keys: repeated digests mean one pair can
+	// fill several matrix cells, so each key is looked up or composed
+	// once. Self-cells (i == j) are the zero diagonal, but the same
+	// *digest* at two indices is a real self-pairing.
 	type cell struct{ i, j int }
 	firstCell := make(map[string]cell)
 	keyAt := make([][]string, n)
@@ -228,51 +238,64 @@ func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (
 	}
 	sort.Strings(keys)
 
-	var mu sync.Mutex
-	docs := make(map[string]*CorunDoc, len(keys))
-	var computed, cached int
-	// Pair analyses fan out across the job's analysis budget; each
-	// analysis runs its simulations serially so the job's total
-	// concurrency stays bounded by OptWorkers.
-	err := parallel.ForEachCtx(ctx, s.cfg.OptWorkers, len(keys), func(ctx context.Context, idx int) error {
-		k := keys[idx]
+	// A pair whose document is cached reads its PairCost. Any other is
+	// composed from the two entries' footprint curves and writes no pair
+	// document; it still counts as a pair-cache miss.
+	costs := make(map[string]float64, len(keys))
+	var composed []string
+	for _, k := range keys {
 		if doc, ok := s.pairs.get(ctx, k); ok {
 			s.metrics.pairHits.Inc()
-			mu.Lock()
-			docs[k] = doc
-			cached++
-			mu.Unlock()
-			return nil
+			costs[k] = doc.PairCost
+			continue
 		}
 		s.metrics.pairMisses.Inc()
+		composed = append(composed, k)
+	}
+
+	// Each distinct entry a composed pair needs gets its curve once. The
+	// entries fan out across the job's analysis budget and each curve is
+	// computed serially, so the job's concurrency stays bounded by
+	// OptWorkers.
+	slot := make(map[*corunEntry]int)
+	var need []*corunEntry
+	for _, k := range composed {
 		c := firstCell[k]
-		doc, err := s.pairAnalysis(ctx, req.cfg, req.entries[c.i], req.entries[c.j], 1)
-		if err != nil {
-			return err
+		for _, e := range [2]*corunEntry{req.entries[c.i], req.entries[c.j]} {
+			if _, ok := slot[e]; !ok {
+				slot[e] = len(need)
+				need = append(need, e)
+			}
 		}
-		s.metrics.schedulePairs.Inc()
-		s.pairs.put(ctx, doc.Digest, doc)
-		mu.Lock()
-		docs[k] = doc
-		computed++
-		mu.Unlock()
-		return nil
+	}
+	curves := make([]*footprint.Curve, len(need))
+	err := parallel.ForEachCtx(ctx, s.cfg.OptWorkers, len(need), func(ctx context.Context, i int) error {
+		c, err := s.matrixCurve(ctx, need[i], req.cfg.LineBytes)
+		curves[i] = c
+		return err
 	})
 	if err != nil {
 		msp.End()
 		return nil, err
 	}
+	for _, k := range composed {
+		c := firstCell[k]
+		a, b := req.entries[c.i], req.entries[c.j]
+		costs[k] = predictPair(req.cfg, curves[slot[a]], curves[slot[b]]).cost
+		s.metrics.schedulePairs.Inc()
+	}
+
 	matrix := make([][]float64, n)
 	for i := range matrix {
 		matrix[i] = make([]float64, n)
 		for jx := range matrix[i] {
 			if jx != i {
-				matrix[i][jx] = docs[keyAt[i][jx]].PairCost
+				matrix[i][jx] = costs[keyAt[i][jx]]
 			}
 		}
 	}
 	msp.SetAttr("pairs", int64(len(keys)))
-	msp.SetAttr("computed", int64(computed))
+	msp.SetAttr("composed", int64(len(composed)))
 	msp.End()
 
 	ssp := obs.StartSpan(ctx, "schedule.solve")
@@ -298,13 +321,20 @@ func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (
 		Matrix:        matrix,
 		Placement:     placement,
 		WorstKnown:    worstKnown,
-		PairsComputed: computed,
-		PairsCached:   cached,
+		PairsComposed: len(composed),
+		PairsCached:   len(keys) - len(composed),
 	}
 	if worstKnown {
 		doc.WorstCost = worst.Cost
 	}
 	return doc, nil
+}
+
+// scheduleCurve is the matrix's per-entry work: the entry's memoized
+// footprint curve at lineBytes, computed serially.
+func scheduleCurve(ctx context.Context, e *corunEntry, lineBytes int) (*footprint.Curve, error) {
+	c := e.curve(ctx, lineBytes, 1)
+	return c, ctx.Err()
 }
 
 func boolAttr(b bool) int64 {

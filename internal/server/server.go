@@ -80,6 +80,7 @@ import (
 	"codelayout/internal/cachesim"
 	"codelayout/internal/cluster"
 	"codelayout/internal/core"
+	"codelayout/internal/footprint"
 	"codelayout/internal/ir"
 	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
@@ -227,9 +228,14 @@ type Server struct {
 	optimize func(ctx context.Context, req *jobRequest) (*Result, error)
 
 	// pairAnalysis runs one co-run pair analysis; tests substitute it to
-	// control timing and failure modes (e.g. blocking a schedule job
-	// mid-matrix to exercise cancellation).
+	// control timing and failure modes (e.g. blocking a co-run job to
+	// exercise cancellation).
 	pairAnalysis func(ctx context.Context, cfg cachesim.Config, a, b *corunEntry, workers int) (*CorunDoc, error)
+
+	// matrixCurve is a schedule matrix's per-entry work, one footprint
+	// curve (scheduleCurve); tests substitute it to block a schedule job
+	// mid-matrix and exercise cancellation.
+	matrixCurve func(ctx context.Context, e *corunEntry, lineBytes int) (*footprint.Curve, error)
 
 	// now returns the current time; tests substitute it to drive the
 	// retention clock.
@@ -394,6 +400,7 @@ func New(cfg Config) *Server {
 	})
 	s.optimize = s.runOptimize
 	s.pairAnalysis = s.computePair
+	s.matrixCurve = scheduleCurve
 	s.now = time.Now
 	// The forward* wrappers are identity when Cluster is nil; clustered,
 	// they route each request to the owner of its content address (or the

@@ -148,7 +148,7 @@ fetch "$ADDR/metrics" >"$WORK/metrics.txt"
 grep -q '^layoutd_corun_jobs_total 3$' "$WORK/metrics.txt"
 grep -q '^layoutd_schedule_jobs_total 2$' "$WORK/metrics.txt"
 # {A, B, A, B} has three distinct pairs: (A,B) from the pair cache plus
-# (A,A) and (B,B) simulated fresh.
+# (A,A) and (B,B) composed from the two layouts' footprint curves.
 grep -q '^layoutd_schedule_pairs_total 2$' "$WORK/metrics.txt"
 # Hits: the repeated and swapped corun requests, plus (A,B) inside the
 # schedule matrix.
