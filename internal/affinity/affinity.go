@@ -16,6 +16,9 @@
 // the definitions directly (quadratic, used for validation), while
 // BuildHierarchy is the paper's efficient solution — two LRU stack
 // passes that read only the top wmax of the stack, in O(N·wmax) time.
+// The efficient analysis has one orchestration, the Feeder: a streamed
+// trace is cut into shards as it arrives, and BuildHierarchy hands the
+// Feeder a trace already in memory, whose shards it cuts in place.
 // The hot path keeps its working set small (DESIGN.md §9): each pass
 // keeps just the stack's top wmax, as a move-to-front window; since
 // Definition 3 quantifies over every occurrence, each block keeps only
@@ -27,12 +30,10 @@ package affinity
 
 import (
 	"context"
+	"slices"
 	"sort"
-	"sync"
 
 	"codelayout/internal/flathash"
-	"codelayout/internal/obs"
-	"codelayout/internal/parallel"
 	"codelayout/internal/trace"
 )
 
@@ -53,7 +54,8 @@ type Options struct {
 	// parameter — the hierarchy is identical either way.
 	Arena *Arena
 	// FeedShardSpan overrides the span (in trimmed occurrences) of the
-	// shards a Feeder cuts from the arriving stream; 0 means a default
+	// shards a Feeder cuts from the arriving stream, and of the shards
+	// BuildHierarchyCtx cuts from the resident trace; 0 means a default
 	// sized to amortize warm-up replay. Like Workers it is an execution
 	// knob: the hierarchy is identical for every setting.
 	FeedShardSpan int
@@ -171,31 +173,17 @@ func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 	return h
 }
 
-// BuildHierarchyCtx is BuildHierarchy with cancellation: the shard loops
-// check ctx between chunks and periodically within a shard, so a job
-// deadline can interrupt a long analysis mid-phase. On cancellation the
-// partial hierarchy is discarded and ctx's error returned.
+// BuildHierarchyCtx is BuildHierarchy with cancellation: the shards
+// poll ctx periodically, so a job deadline can interrupt a long analysis
+// mid-phase. On cancellation the partial hierarchy is discarded and
+// ctx's error returned. The build is the Feeder run over the resident
+// trimmed trace: it cuts max(Workers, ⌈n/span⌉) shards of the trace in
+// place (span is FeedShardSpan or its default) and Finish builds the
+// hierarchy.
 func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hierarchy, error) {
-	wmax := opt.WMax
-	if wmax <= 0 {
-		wmax = DefaultWMax
-	}
-	sp := obs.StartSpan(ctx, "affinity.hierarchy")
-	defer sp.End()
-	tt := t.Trimmed()
-	sp.SetAttr("trace_len", int64(len(tt.Syms)))
-	sp.SetAttr("wmax", int64(wmax))
-	h := newHierarchyShell(tt, wmax)
-	if len(tt.Syms) == 0 {
-		return h, nil
-	}
-	minW, err := pairMinWindowsStack(ctx, tt, wmax, opt.Workers, opt.Arena)
-	if err != nil {
-		return nil, err
-	}
-	buildLevels(h, wmax, minW)
-	opt.Arena.putMinW(minW)
-	return h, nil
+	f := NewFeeder(ctx, opt)
+	f.feedResident(t.Trimmed().Syms, opt.Workers)
+	return f.Finish(ctx)
 }
 
 // buildLevels fills hierarchy levels 2..wmax from the per-pair minimal
@@ -344,59 +332,23 @@ func (m *levelMerger) merge(prev Partition, w int, idx *partnerIndex) Partition 
 // shard must cover several times that to amortize the duplicated work.
 const minShardSpan = 4
 
-// defaultShardSpan is the largest shard the buffered stack passes cut,
-// and the streamed shard span when Options leaves it unset: large
-// enough that the warm-up replay (up to wmax distinct symbols on each
-// side) is noise against the shard body, small enough that a shard's
-// forward-pass spans (wmax−1 symbols per occurrence) stay a few MB.
+// defaultShardSpan is the shard span when Options leaves FeedShardSpan
+// unset: large enough that the warm-up replay (up to wmax distinct
+// symbols on each side) is noise against the shard body, small enough
+// that a shard's forward-pass spans (wmax−1 symbols per occurrence) stay
+// a few MB.
 const defaultShardSpan = 1 << 16
 
 // cancelCheckMask throttles the in-shard context checks: the shard loops
 // poll ctx.Err() once per (cancelCheckMask+1) occurrences.
 const cancelCheckMask = 0x3FFF
 
-// pairMinWindowsStack computes, for every symbol pair that becomes affine
-// at some w <= wmax, that minimal w, using the two stack passes described
-// on BuildHierarchy. The trace is split into contiguous shards of at most
-// defaultShardSpan occurrences (more when Workers asks for more), one
-// independent pair of passes per shard; each shard warms its window by
-// replaying just enough of the neighboring trace that its top-wmax views
-// equal the full-trace simulation, so the per-shard candidate lists
-// intersect to exactly the serial result. Each shard folds into one
-// accumulator as it finishes and its state goes back to the arena, so
-// the working set is bounded by the shard span, not the trace length.
-func pairMinWindowsStack(ctx context.Context, tt *trace.Trace, wmax, workers int, arena *Arena) (*flathash.Sum64, error) {
-	n := len(tt.Syms)
-	maxSym := tt.MaxSym()
-	parts := max(parallel.Workers(workers), (n+defaultShardSpan-1)/defaultShardSpan)
-	chunks := parallel.Chunks(n, parts, minShardSpan*wmax)
-	acc := arena.getLists()
-	defer arena.putLists(acc)
-	var mu sync.Mutex
-	err := parallel.ForEachCtx(ctx, workers, len(chunks), func(ctx context.Context, i int) error {
-		st := arena.getShard()
-		defer arena.putShard(st)
-		if err := shardPairHists(ctx, st, tt.Syms, maxSym, wmax, chunks[i][0], chunks[i][1]); err != nil {
-			return err
-		}
-		mu.Lock()
-		acc.fold(st)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reduceMinW(acc, arena), nil
-}
-
 // reduceMinW reads the minimal-affine-window table off the folded
 // candidate lists: a pair {x, y} is affine once y covers every
 // occurrence of x and x every occurrence of y, that is, once each is in
 // the other's list, and it becomes affine at the larger of the two
-// lists' depths. Shared by the buffered build and the streaming Feeder:
-// the lists intersect to the same sets and depths over any contiguous
-// sharding, so both paths reduce to the same table.
+// lists' depths. The lists intersect to the same sets and depths over
+// any contiguous sharding, so every sharding reduces to the same table.
 func reduceMinW(c *candLists, arena *Arena) *flathash.Sum64 {
 	minW := arena.getMinW()
 	for x := int32(0); x < int32(len(c.heads)); x++ {
@@ -524,28 +476,34 @@ func warmAfter(syms []int32, hi, need int) int {
 
 // newHierarchyShell prepares the hierarchy with the w=1 partition
 // (every block its own group, per Definition 5) and first-occurrence
-// ordering. A single pass over the trace yields the distinct symbols in
-// first-occurrence order directly — no sort needed.
+// ordering, from one batch pass over the trace.
 func newHierarchyShell(tt *trace.Trace, wmax int) *Hierarchy {
-	var firstOcc []int32
-	var occCount []int64
-	var syms []int32
-	if len(tt.Syms) > 0 {
-		n := int(tt.MaxSym()) + 1
-		firstOcc = make([]int32, n)
-		occCount = make([]int64, n)
-		for i := range firstOcc {
-			firstOcc[i] = -1
-		}
-		for i, s := range tt.Syms {
-			if firstOcc[s] < 0 {
-				firstOcc[s] = int32(i)
-				syms = append(syms, s)
-			}
-			occCount[s]++
-		}
+	firstOcc, occCount, order := symbolTables(tt.Syms)
+	return newHierarchyShellFrom(firstOcc, occCount, order, wmax)
+}
+
+// symbolTables is the batch pass over a trimmed trace: each symbol's
+// first-occurrence position (-1 when absent) and occurrence count, and
+// the distinct symbols in first-occurrence order — found directly, no
+// sort needed. All three are nil for an empty trace.
+func symbolTables(syms []int32) (firstOcc []int32, occCount []int64, order []int32) {
+	if len(syms) == 0 {
+		return nil, nil, nil
 	}
-	return newHierarchyShellFrom(firstOcc, occCount, syms, wmax)
+	n := int(slices.Max(syms)) + 1
+	firstOcc = make([]int32, n)
+	occCount = make([]int64, n)
+	for i := range firstOcc {
+		firstOcc[i] = -1
+	}
+	for i, s := range syms {
+		if firstOcc[s] < 0 {
+			firstOcc[s] = int32(i)
+			order = append(order, s)
+		}
+		occCount[s]++
+	}
+	return firstOcc, occCount, order
 }
 
 // newHierarchyShellFrom builds the shell from already-accumulated

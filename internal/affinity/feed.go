@@ -11,13 +11,14 @@ import (
 
 // Feeder runs the stack-simulation analysis incrementally, over a trace
 // that arrives in chunks — layoutd feeding decoded upload chunks into
-// the kernel while the rest of the trace is still on the network. It
-// produces a Hierarchy byte-identical to BuildHierarchyCtx over the
-// concatenated input: the per-shard candidate lists fold exactly for
-// ANY contiguous sharding — lists intersect, depths take the max (the
-// sharded-merge determinism invariant, DESIGN.md §7) — so shards cut at
-// arrival-dictated boundaries fold to the same minimal-window table the
-// buffered build computes.
+// the kernel while the rest of the trace is still on the network. It is
+// the package's one shard/fold orchestration: BuildHierarchyCtx runs it
+// over a trace already in memory, cutting the shards in place. The
+// per-shard candidate lists fold exactly for ANY contiguous sharding —
+// lists intersect, depths take the max (the sharded-merge determinism
+// invariant, DESIGN.md §7) — so shards cut at arrival-dictated
+// boundaries fold to the same minimal-window table as one serial pass
+// over the concatenated input, and the Hierarchy is byte-identical.
 //
 // The feeder keeps a single slab: the undispatched body plus just
 // enough preceding context for the next shard's warm-up replay. When
@@ -162,9 +163,26 @@ func (f *Feeder) Feed(chunk []int32) error {
 	return nil
 }
 
+// feedResident feeds a whole trimmed trace held in memory, in place of
+// Feed. One batch pass fills the symbol tables, and the trace is cut
+// into max(workers, ⌈n/span⌉) shards, each submitted against syms
+// itself, so its warm-ups read the real neighbouring trace. syms stays
+// the caller's: no shard writes it and the slab pool never takes it. A
+// failed submission is kept for Finish.
+func (f *Feeder) feedResident(syms []int32, workers int) {
+	f.firstOcc, f.occCount, f.order = symbolTables(syms)
+	f.maxSym, f.n = int32(len(f.firstOcc)-1), len(syms)
+	parts := max(parallel.Workers(workers), (f.n+f.shardTarget-1)/f.shardTarget)
+	for _, c := range parallel.Chunks(f.n, parts, minShardSpan*f.wmax) {
+		if err := f.submit(syms, c[0], c[1], false); err != nil {
+			f.err = err
+			return
+		}
+	}
+}
+
 // N returns the number of trimmed occurrences accepted so far — the
-// trace length the analysis sees, matching Trimmed().Len() of the
-// buffered path.
+// trace length the analysis sees, matching the input's Trimmed().Len().
 func (f *Feeder) N() int { return f.n }
 
 // warmStart is warmBefore over the slab using the feeder's stamps: the
@@ -203,7 +221,7 @@ func (f *Feeder) dispatch(hi int) error {
 	lo, p := f.body, f.warmStart(hi)
 	slab := f.slab
 	next := append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
-	err := f.submit(slab, lo, hi)
+	err := f.submit(slab, lo, hi, true)
 	f.slab = next
 	f.body = hi - p
 	f.pendingHi = -1
@@ -213,14 +231,18 @@ func (f *Feeder) dispatch(hi int) error {
 // submit hands shard [lo, hi) of slab to the pool. The task borrows a
 // state only while it runs: it folds the shard's lists into the
 // accumulator as soon as its passes finish and returns the state to the
-// arena, so a finished shard holds nothing.
-func (f *Feeder) submit(slab []int32, lo, hi int) error {
+// arena, so a finished shard holds nothing. A slab the feeder owns goes
+// back to the slab pool once its shard is done; a resident trace is not
+// the feeder's to recycle.
+func (f *Feeder) submit(slab []int32, lo, hi int, owned bool) error {
 	maxSym, wmax := f.maxSym, f.wmax
 	return f.pool.Submit(func(ctx context.Context) error {
 		st := f.arena.getShard()
 		defer f.arena.putShard(st)
 		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
-		f.putSlab(slab)
+		if owned {
+			f.putSlab(slab)
+		}
 		if err != nil {
 			return err
 		}
@@ -232,9 +254,9 @@ func (f *Feeder) submit(slab []int32, lo, hi int) error {
 }
 
 // Finish seals the stream: the remaining body becomes the last shard
-// (its backward warm-up span ends at the true trace end, like the last
-// buffered chunk's), and once every shard has folded, the hierarchy is
-// built exactly as BuildHierarchyCtx builds it.
+// (its backward warm-up span ends at the true trace end), and once every
+// shard has folded, the level merge builds the hierarchy from the
+// minimal-window table.
 func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
@@ -253,12 +275,12 @@ func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	return h, nil
 }
 
-// minWindows seals the stream and returns the minimal-window table
-// pairMinWindowsStack computes for the concatenated input, or nil for
-// an empty trace. The accumulator goes back to the arena either way.
+// minWindows seals the stream and returns the minimal-window table of
+// the concatenated input, or nil for an empty trace. The accumulator
+// goes back to the arena either way.
 func (f *Feeder) minWindows() (*flathash.Sum64, error) {
 	if f.err == nil && f.body < len(f.slab) {
-		if err := f.submit(f.slab, f.body, len(f.slab)); err != nil {
+		if err := f.submit(f.slab, f.body, len(f.slab), true); err != nil {
 			f.err = err
 		}
 		f.slab = nil

@@ -2,9 +2,11 @@ package affinity
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -159,6 +161,41 @@ func TestFeederCancellation(t *testing.T) {
 		t.Fatal("canceled feeder reported no error")
 	}
 	f.Abort()
+}
+
+// TestResidentBuildCancelAndAlias: the buffered build runs the Feeder
+// over the resident trace in place, cut into many shards here. At
+// Workers 1 and 2, a canceled context returns its error and no
+// hierarchy; a completed build leaves the caller's Syms as they were;
+// and the Arena both builds used then serves a hierarchy equal to a
+// fresh Workers 1 build's.
+func TestResidentBuildCancelAndAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	tr := phasedTrace(rng, 4000, 500, 12)
+	want := BuildHierarchy(tr, Options{WMax: 5, Workers: 1})
+	for _, workers := range []int{1, 2} {
+		arena := &Arena{}
+		opt := Options{WMax: 5, Workers: workers, Arena: arena, FeedShardSpan: 150}
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if h, err := BuildHierarchyCtx(canceled, tr, opt); !errors.Is(err, context.Canceled) || h != nil {
+			t.Fatalf("workers=%d: canceled build = %v, %v; want no hierarchy and context.Canceled", workers, h, err)
+		}
+		before := slices.Clone(tr.Syms)
+		if _, err := BuildHierarchyCtx(context.Background(), tr, opt); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tr.Syms, before) {
+			t.Fatalf("workers=%d: the build changed the caller's trace", workers)
+		}
+		got, err := BuildHierarchyCtx(context.Background(), tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Levels, want.Levels) {
+			t.Fatalf("workers=%d: a build on the reused arena differs from a fresh Workers 1 build", workers)
+		}
+	}
 }
 
 // TestFeederMemoryBounded: what a Feeder holds before Finish is

@@ -50,7 +50,7 @@ func TestIndexedMergeMatchesGreedyOnSuite(t *testing.T) {
 	for _, name := range []string{"403.gcc", "483.xalancbmk"} {
 		for _, keep := range []int{defaultPruneTopN, 0} {
 			tt := suiteBBTrace(t, name, keep)
-			minW, err := pairMinWindowsStack(context.Background(), tt, DefaultWMax, 0, nil)
+			minW, err := residentMinWindows(context.Background(), tt, DefaultWMax, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

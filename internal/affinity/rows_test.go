@@ -134,9 +134,17 @@ func feedMinWindows(tb testing.TB, syms []int32, opt Options, chunk int) map[int
 	return tableMap(minW)
 }
 
+// residentMinWindows runs the Feeder's resident entry over a trimmed
+// trace, as BuildHierarchyCtx does, and returns its minimal-window table.
+func residentMinWindows(ctx context.Context, tt *trace.Trace, wmax, workers int, arena *Arena) (*flathash.Sum64, error) {
+	f := NewFeeder(ctx, Options{WMax: wmax, Workers: workers, Arena: arena})
+	f.feedResident(tt.Syms, workers)
+	return f.minWindows()
+}
+
 // TestRowsMatchReferenceOnSuite holds the coverage rows to the
 // histogram-map reference on real basic-block profiles, through every
-// path that builds them: the buffered build at Workers 1 and 2, and the
+// path that builds them: the resident entry at Workers 1 and 2, and the
 // Feeder at its default shard span and at a 4,096-occurrence span, which
 // cuts the trace into dozens of shards whose rows merge. The traces are
 // cut to 150,000 references, past two default spans, to keep the map
@@ -148,7 +156,7 @@ func TestRowsMatchReferenceOnSuite(t *testing.T) {
 		want := referenceMinWindows(tt.Syms, DefaultWMax)
 		arena := &Arena{}
 		for _, workers := range []int{1, 2} {
-			minW, err := pairMinWindowsStack(context.Background(), tt, DefaultWMax, workers, arena)
+			minW, err := residentMinWindows(context.Background(), tt, DefaultWMax, workers, arena)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +195,7 @@ func TestWideWindowDepths(t *testing.T) {
 			want[k] = int64(w)
 		}
 	}
-	minW, err := pairMinWindowsStack(context.Background(), tt, wmax, 1, nil)
+	minW, err := residentMinWindows(context.Background(), tt, wmax, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,16 +155,12 @@ func parseSample(line string) (Series, error) {
 		return s, fmt.Errorf("invalid metric name %q", s.Name)
 	}
 	if rest[i] == '{' {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parseLabels(rest[i+1 : end])
+		labels, after, err := parseLabels(rest[i+1:])
 		if err != nil {
 			return s, fmt.Errorf("%w in %q", err, line)
 		}
 		s.Labels = labels
-		rest = rest[end+1:]
+		rest = after
 	} else {
 		rest = rest[i:]
 	}
@@ -180,20 +176,29 @@ func parseSample(line string) (Series, error) {
 	return s, nil
 }
 
-func parseLabels(body string) (map[string]string, error) {
+// parseLabels parses a label set from just after its '{' and returns
+// the labels and what follows the set's closing '}'. A '}' inside a
+// quoted value does not close the set.
+func parseLabels(body string) (map[string]string, string, error) {
 	labels := make(map[string]string)
-	for body != "" {
+	for {
+		if body == "" {
+			return nil, "", fmt.Errorf("unterminated label set")
+		}
+		if body[0] == '}' {
+			return labels, body[1:], nil
+		}
 		eq := strings.Index(body, "=")
 		if eq < 0 {
-			return nil, fmt.Errorf("label without value")
+			return nil, "", fmt.Errorf("label without value")
 		}
 		key := body[:eq]
 		if !nameRe.MatchString(key) {
-			return nil, fmt.Errorf("invalid label name %q", key)
+			return nil, "", fmt.Errorf("invalid label name %q", key)
 		}
 		body = body[eq+1:]
 		if body == "" || body[0] != '"' {
-			return nil, fmt.Errorf("label value for %s not quoted", key)
+			return nil, "", fmt.Errorf("label value for %s not quoted", key)
 		}
 		// Find the closing quote, honoring backslash escapes.
 		end := -1
@@ -208,25 +213,24 @@ func parseLabels(body string) (map[string]string, error) {
 			}
 		}
 		if end < 0 {
-			return nil, fmt.Errorf("unterminated label value for %s", key)
+			return nil, "", fmt.Errorf("unterminated label value for %s", key)
 		}
 		val, err := strconv.Unquote(body[:end+1])
 		if err != nil {
-			return nil, fmt.Errorf("bad label value for %s: %v", key, err)
+			return nil, "", fmt.Errorf("bad label value for %s: %v", key, err)
 		}
 		if _, dup := labels[key]; dup {
-			return nil, fmt.Errorf("duplicate label %s", key)
+			return nil, "", fmt.Errorf("duplicate label %s", key)
 		}
 		labels[key] = val
 		body = body[end+1:]
-		if body != "" {
-			if body[0] != ',' {
-				return nil, fmt.Errorf("expected ',' between labels")
-			}
+		switch {
+		case strings.HasPrefix(body, ","):
 			body = body[1:]
+		case body != "" && body[0] != '}':
+			return nil, "", fmt.Errorf("expected ',' between labels")
 		}
 	}
-	return labels, nil
 }
 
 func parseValue(s string) (float64, error) {

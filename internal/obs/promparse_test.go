@@ -36,11 +36,57 @@ b{env="prod"} -3
 	}
 }
 
+// TestParseEscapedLabelValue: escapes in a quoted label value decode,
+// and a '}' inside the quotes does not end the label set.
 func TestParseEscapedLabelValue(t *testing.T) {
-	exp := parseOK(t, "x{k=\"a\\\"b\\\\c\"} 1\n")
-	if exp.Series[0].Labels["k"] != `a"b\c` {
-		t.Fatalf("label = %q", exp.Series[0].Labels["k"])
+	for _, c := range []struct{ text, want string }{
+		{"x{k=\"a\\\"b\\\\c\"} 1\n", `a"b\c`},
+		{"# TYPE m counter\nm{k=\"x}y\"} 1\n", `x}y`},
+		{"# TYPE m counter\nm{k=\"x\\\"}\"} 1\n", `x"}`},
+	} {
+		exp := parseOK(t, c.text)
+		if got := exp.Series[0].Labels["k"]; got != c.want || exp.Series[0].Value != 1 {
+			t.Errorf("%q: label = %q, value %v; want %q, 1", c.text, got, exp.Series[0].Value, c.want)
+		}
 	}
+}
+
+// FuzzParsePrometheusText: layoutd parses its peers' expositions, which
+// are untrusted. Each input is used twice. As an exposition, it must
+// parse or lint to a result or an error, never a panic. As a label
+// value, the registry's exposition of a counter carrying it must parse
+// back to that value.
+//
+//	go test ./internal/obs -run '^$' -fuzz FuzzParsePrometheusText -fuzztime 60s
+func FuzzParsePrometheusText(f *testing.F) {
+	for _, seed := range []string{
+		"# HELP a_total A.\n# TYPE a_total counter\na_total 5\n",
+		"# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 4.5\nh_count 3\n",
+		"m{k=\"x}y\",j=\"a\\\"}\"} 1\n",
+		"a{k=\"v 1\n",
+		"x}y",
+		"\xff\n\"\\",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		_, _ = ParsePrometheusText(strings.NewReader(in))
+		_, _ = LintPrometheusText(strings.NewReader(in))
+		r := NewRegistry()
+		r.CounterVec("m_total", "M.", "k").With(in).Inc()
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := LintPrometheusText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("label value %q: the registry's exposition fails: %v\n%s", in, err, b.String())
+		}
+		if len(exp.Series) != 1 || exp.Series[0].Labels["k"] != in || exp.Series[0].Value != 1 {
+			t.Fatalf("label value %q: the exposition parses to %+v\n%s", in, exp.Series, b.String())
+		}
+	})
 }
 
 func TestParseSpecialValues(t *testing.T) {

@@ -13,11 +13,12 @@ import (
 const defaultFeedShardSpan = 1 << 16
 
 // Feeder constructs the TRG incrementally over a trace arriving in
-// chunks, producing a graph whose node order and edge weights are
-// identical to BuildCtx over the concatenated input: per-shard rows add
-// exactly for ANY contiguous sharding, in any order (weights sum), and
-// the node order is the feeder's own first-occurrence list, so
-// arrival-cut shards land on the same graph the buffered build computes.
+// chunks. It is the package's one shard/fold orchestration: BuildCtx
+// runs it over a trace already in memory, cutting the shards in place.
+// Per-shard rows add exactly for ANY contiguous sharding, in any order
+// (weights sum), and the node order is the feeder's own first-occurrence
+// list, so arrival-cut shards land on the graph one serial pass over the
+// concatenated input builds: the same node order and edge weights.
 //
 // Unlike the affinity analysis, the construction pass only warms
 // backward (the interleaving scan looks at the stack of past accesses),
@@ -63,7 +64,7 @@ type Feeder struct {
 // arrival-cut shard span (0 means a default sized to amortize warm-up).
 // A windowBlocks <= 0 (unbounded window) cannot stream — the warm span
 // would be the whole history — so the feeder degrades to a single shard
-// cut at Finish: correct, but with buffered-path memory.
+// cut at Finish: correct, but holding the whole trace.
 func NewFeeder(ctx context.Context, windowBlocks, workers, shardSpan int, arena *Arena) *Feeder {
 	limit := windowBlocks
 	target := shardSpan
@@ -128,9 +129,35 @@ func (f *Feeder) Feed(chunk []int32) error {
 	return nil
 }
 
+// feedResident feeds a whole trimmed trace held in memory, in place of
+// Feed. One pass takes the alphabet and the first-occurrence order, and
+// the trace is cut into one shard per worker (Chunks never cuts a shard
+// under 4·limit, so an unbounded window keeps one shard), each submitted
+// against syms itself so its warm-up replays the real history. syms
+// stays the caller's: no shard writes it and the slab pool never takes
+// it. A failed submission is kept for Finish.
+func (f *Feeder) feedResident(syms []int32, workers int) {
+	for _, s := range syms {
+		if int(s) >= len(f.known) {
+			f.known = append(f.known, make([]bool, int(s)+1-len(f.known))...)
+		}
+		if !f.known[s] {
+			f.known[s] = true
+			f.order = append(f.order, s)
+		}
+	}
+	f.maxSym, f.n = int32(len(f.known)-1), len(syms)
+	for _, c := range parallel.Chunks(f.n, parallel.Workers(workers), 4*f.limit) {
+		if err := f.submit(syms, c[0], c[1], false); err != nil {
+			f.err = err
+			return
+		}
+	}
+}
+
 // N returns the number of trimmed occurrences accepted so far — the
-// trace length the construction sees, matching Trimmed().Len() of the
-// buffered path.
+// trace length the construction sees, matching the input's
+// Trimmed().Len().
 func (f *Feeder) N() int { return f.n }
 
 // warmStart is warmStart over the slab using the feeder's stamps: the
@@ -168,7 +195,7 @@ func (f *Feeder) dispatch(hi int) error {
 	lo, p := f.body, f.warmStart(hi)
 	slab := f.slab
 	next := append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
-	err := f.submit(slab, lo, hi)
+	err := f.submit(slab, lo, hi, true)
 	f.slab = next
 	f.body = hi - p
 	return err
@@ -176,20 +203,24 @@ func (f *Feeder) dispatch(hi int) error {
 
 // submit hands shard [lo, hi) of slab to the pool. The task borrows a
 // state only while it runs and folds the shard's rows into the
-// accumulated graph as soon as its pass finishes.
-func (f *Feeder) submit(slab []int32, lo, hi int) error {
+// accumulated graph as soon as its pass finishes. A slab the feeder
+// owns goes back to the slab pool once its shard is done; a resident
+// trace is not the feeder's to recycle.
+func (f *Feeder) submit(slab []int32, lo, hi int, owned bool) error {
 	maxSym, limit := f.maxSym, f.limit
 	return f.pool.Submit(func(ctx context.Context) error {
 		st := f.arena.getShard()
 		defer f.arena.putShard(st)
 		if st.g == nil {
-			st.g = NewGraph()
+			st.g = f.arena.GetGraph()
 		} else {
 			st.g.Reset()
 		}
 		st.g.ensureSym(maxSym)
 		err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
-		f.putSlab(slab)
+		if owned {
+			f.putSlab(slab)
+		}
 		if err != nil {
 			return err
 		}
@@ -199,14 +230,14 @@ func (f *Feeder) submit(slab []int32, lo, hi int) error {
 }
 
 // fold adds a finished shard's rows into the accumulated graph. The
-// first shard to finish gives its partial graph as the accumulator, as
-// BuildCtx keeps its first shard's, and its state takes a pooled graph
-// in its place.
+// first shard to finish gives its partial graph as the accumulator and
+// leaves its state with no graph, so a one-shard build holds one graph;
+// the state draws a pooled graph only when it next runs a shard.
 func (f *Feeder) fold(st *buildState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.g == nil {
-		f.g, st.g = st.g, f.arena.GetGraph()
+		f.g, st.g = st.g, nil
 		return
 	}
 	f.g.rows.MergeFrom(&st.g.rows, addWeight)
@@ -214,12 +245,11 @@ func (f *Feeder) fold(st *buildState) {
 
 // Finish seals the stream: the remaining body becomes the last shard,
 // and once every shard has folded its rows, the accumulated graph takes
-// the feeder's first-occurrence node order — the order BuildCtx's
-// concatenated shard node lists reproduce.
+// the feeder's first-occurrence node order.
 // The caller owns the returned graph (recycle it via Arena.PutGraph).
 func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 	if f.err == nil && f.body < len(f.slab) {
-		if err := f.submit(f.slab, f.body, len(f.slab)); err != nil {
+		if err := f.submit(f.slab, f.body, len(f.slab), true); err != nil {
 			f.err = err
 		}
 		f.slab = nil

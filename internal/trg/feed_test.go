@@ -2,9 +2,11 @@ package trg
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -144,6 +146,41 @@ func TestFeederCancellation(t *testing.T) {
 		t.Fatal("canceled feeder reported no error")
 	}
 	f.Abort()
+}
+
+// TestResidentBuildCancelAndAlias: BuildCtx runs the Feeder over the
+// resident trace in place, one shard per worker. At Workers 1 and 2, a
+// canceled context returns its error and no graph; a completed build
+// leaves the caller's Syms as they were; and the Arena both builds used
+// then serves a graph equal to a fresh Workers 1 build's.
+func TestResidentBuildCancelAndAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	tr := phasedTrace(rng, 3000, 400, 10)
+	want := BuildWorkers(tr, 8, 1)
+	for _, workers := range []int{1, 2} {
+		arena := &Arena{}
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if g, err := BuildCtx(canceled, tr, 8, workers, arena); !errors.Is(err, context.Canceled) || g != nil {
+			t.Fatalf("workers=%d: canceled build = %v, %v; want no graph and context.Canceled", workers, g, err)
+		}
+		before := slices.Clone(tr.Syms)
+		g, err := BuildCtx(context.Background(), tr, 8, workers, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tr.Syms, before) {
+			t.Fatalf("workers=%d: the build changed the caller's trace", workers)
+		}
+		arena.PutGraph(g)
+		got, err := BuildCtx(context.Background(), tr, 8, workers, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Nodes(), want.Nodes()) || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("workers=%d: a build on the reused arena differs from a fresh Workers 1 build", workers)
+		}
+	}
 }
 
 // TestFeederMemoryBounded: what a Feeder holds before Finish is

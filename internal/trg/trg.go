@@ -18,7 +18,9 @@
 // reusable buffer instead of paying a callback per element; and an
 // optional Arena recycles all per-shard state across builds. The
 // reduction reads its adjacency and its edge order straight from the
-// rows.
+// rows. The construction has one shard/fold orchestration, the Feeder:
+// a streamed trace is cut into shards as it arrives, and BuildCtx hands
+// the Feeder a trace already in memory, whose shards it cuts in place.
 package trg
 
 import (
@@ -27,7 +29,6 @@ import (
 	"sync"
 
 	"codelayout/internal/flathash"
-	"codelayout/internal/parallel"
 	"codelayout/internal/stackdist"
 	"codelayout/internal/trace"
 )
@@ -220,7 +221,8 @@ type buildState struct {
 	// stamp/epoch is the warm-up's epoch-stamped distinct-symbol scratch.
 	stamp []int32
 	epoch int32
-	// g accumulates the shard's partial graph when sharding.
+	// g is the graph the shard builds into; nil once a Feeder's first
+	// fold has taken it, until the state runs its next shard.
 	g *Graph
 }
 
@@ -275,73 +277,21 @@ func BuildWorkers(t *trace.Trace, windowBlocks, workers int) *Graph {
 	return g
 }
 
-// BuildCtx is BuildWorkers with cancellation and buffer reuse. The trace
-// is split into contiguous shards; each shard warms a private LRU stack
-// by replaying the span holding the last windowBlocks distinct symbols
-// before it, so its per-access interleaving views equal the full-trace
-// simulation, and the per-shard partial graphs merge deterministically:
-// edge weights sum (addition commutes) and shard node lists concatenate
-// in trace order, reproducing the global first-occurrence node order.
-// The shard loops poll ctx, so a job deadline can interrupt a long
-// construction; on cancellation the partial graph is discarded and ctx's
-// error returned. arena may be nil.
+// BuildCtx is BuildWorkers with cancellation and buffer reuse. It is
+// the Feeder run over the resident trimmed trace: the trace is cut in
+// place into one contiguous shard per worker (a single shard at Workers
+// 1, or when the trace is too short to split, or the window unbounded),
+// each shard warms a private LRU stack by replaying the span holding the
+// last windowBlocks distinct symbols before it, so its per-access
+// interleaving views equal the full-trace simulation, and the shard rows
+// add up (addition commutes) under the global first-occurrence node
+// order. The shards poll ctx, so a job deadline can interrupt a long
+// construction; on cancellation the partial graph is discarded and
+// ctx's error returned. arena may be nil.
 func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, arena *Arena) (*Graph, error) {
-	tt := t.Trimmed()
-	g := arena.GetGraph()
-	if len(tt.Syms) == 0 {
-		return g, nil
-	}
-	maxSym := tt.MaxSym()
-	g.ensureSym(maxSym)
-	limit := windowBlocks
-	if limit <= 0 {
-		limit = int(maxSym) + 1
-	}
-	// A shard must dwarf its warm-up replay (up to `limit` distinct
-	// symbols) for sharding to pay; Chunks collapses to one shard when
-	// the trace is too short to split.
-	chunks := parallel.Chunks(len(tt.Syms), parallel.Workers(workers), 4*limit)
-	if len(chunks) == 1 {
-		st := arena.getShard()
-		err := buildShard(ctx, st, g, tt.Syms, maxSym, limit, 0, len(tt.Syms))
-		arena.putShard(st)
-		if err != nil {
-			arena.PutGraph(g)
-			return nil, err
-		}
-		return g, nil
-	}
-	states := make([]*buildState, len(chunks))
-	err := parallel.ForEachCtx(ctx, workers, len(chunks), func(ctx context.Context, i int) error {
-		st := arena.getShard()
-		states[i] = st
-		if st.g == nil {
-			st.g = NewGraph()
-		} else {
-			st.g.Reset()
-		}
-		st.g.ensureSym(maxSym)
-		return buildShard(ctx, st, st.g, tt.Syms, maxSym, limit, chunks[i][0], chunks[i][1])
-	})
-	if err != nil {
-		for _, st := range states {
-			if st != nil {
-				arena.putShard(st)
-			}
-		}
-		arena.PutGraph(g)
-		return nil, err
-	}
-	// The first shard's partial graph becomes the result, and the
-	// graph drawn for it goes back to the pool in its place.
-	g, states[0].g = states[0].g, g
-	for _, st := range states[1:] {
-		g.merge(st.g)
-	}
-	for _, st := range states {
-		arena.putShard(st)
-	}
-	return g, nil
+	f := NewFeeder(ctx, windowBlocks, workers, 0, arena)
+	f.feedResident(t.Trimmed().Syms, workers)
+	return f.Finish(ctx)
 }
 
 // setNodes replaces g's node list with order, which lists every symbol
@@ -354,15 +304,6 @@ func (g *Graph) setNodes(order []int32) {
 	for _, s := range order {
 		g.AddNode(s)
 	}
-}
-
-// merge adds a later shard's partial graph into g: its new nodes follow
-// g's in first-occurrence order, and its rows add row by row.
-func (g *Graph) merge(part *Graph) {
-	for _, s := range part.nodes {
-		g.AddNode(s)
-	}
-	g.rows.MergeFrom(&part.rows, addWeight)
 }
 
 func addWeight(dst *int64, src int64) { *dst += src }
