@@ -38,6 +38,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -138,19 +139,30 @@ Exit codes:
 	case *optimizers:
 		err = printGET(r, base+"/v1/optimizers")
 	case *corunPair != "":
-		err = doCorun(r, base, *corunPair, *cacheGeom, *timeout, *jsonOut)
+		err = doCorun(os.Stdout, r, base, *corunPair, *cacheGeom, *timeout, *jsonOut)
 	case *pairDigest != "":
 		err = doPairDoc(r, base, *pairDigest)
 	case *scheduleList != "":
-		err = doSchedule(r, base, *scheduleList, *domains, *slots, *cacheGeom, *timeout, *jsonOut)
+		err = doSchedule(os.Stdout, r, base, *scheduleList, *domains, *slots, *cacheGeom, *timeout, *jsonOut)
 	default:
 		flag.Usage()
+		os.Exit(2)
+	}
+	var misuse usageError
+	if errors.As(err, &misuse) {
+		fmt.Fprintln(os.Stderr, "layoutctl:", misuse)
 		os.Exit(2)
 	}
 	if err != nil {
 		log.Fatal(err) // exit code 1
 	}
 }
+
+// usageError is a command-line misuse a command finds after flag
+// parsing; main exits 2 on it, as on a flag error.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
 
 // retrier is the shared retry/backoff engine (internal/cluster): the
 // same semantics layoutd peers use for forwarding and replication.

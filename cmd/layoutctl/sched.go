@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -102,11 +101,12 @@ type corunView struct {
 	PairCost float64  `json:"pairCost"`
 }
 
-func doCorun(r *retrier, base, pair, cacheGeom string, timeout time.Duration, jsonOut bool) error {
+// doCorun posts a /v1/corun pair analysis, waits for it, and writes the
+// pair document to w: raw JSON with jsonOut, else a side-by-side table.
+func doCorun(w io.Writer, r *retrier, base, pair, cacheGeom string, timeout time.Duration, jsonOut bool) error {
 	digests := splitDigests(pair)
 	if len(digests) != 2 {
-		fmt.Fprintln(os.Stderr, "layoutctl: -corun wants exactly two comma-separated layout digests")
-		os.Exit(2)
+		return usageError("-corun wants exactly two comma-separated layout digests")
 	}
 	cache, err := parseCacheGeometry(cacheGeom)
 	if err != nil {
@@ -121,8 +121,8 @@ func doCorun(r *retrier, base, pair, cacheGeom string, timeout time.Duration, js
 		return err
 	}
 	if jsonOut {
-		os.Stdout.Write(append(raw, '\n'))
-		return nil
+		_, err := w.Write(append(raw, '\n'))
+		return err
 	}
 	var wrap struct {
 		Corun corunView `json:"corun"`
@@ -131,20 +131,20 @@ func doCorun(r *retrier, base, pair, cacheGeom string, timeout time.Duration, js
 		return fmt.Errorf("corun: bad response %q: %w", raw, err)
 	}
 	doc := wrap.Corun
-	fmt.Printf("pair %s cached=%v\n\n", doc.Digest, v.Cached)
+	fmt.Fprintf(w, "pair %s cached=%v\n\n", doc.Digest, v.Cached)
 	const row = "%-14s %12s %12s\n"
 	label := func(s pairSide) string { return s.Prog + "/" + s.Optimizer }
-	fmt.Printf(row, "", label(doc.A), label(doc.B))
+	fmt.Fprintf(w, row, "", label(doc.A), label(doc.B))
 	pct := func(f float64) string { return fmt.Sprintf("%.4f%%", f*100) }
-	fmt.Printf(row, "miss solo", pct(doc.A.MissSolo), pct(doc.B.MissSolo))
-	fmt.Printf(row, "miss corun", pct(doc.A.MissCorun), pct(doc.B.MissCorun))
-	fmt.Printf(row, "contention", pct(doc.A.Contention), pct(doc.B.Contention))
-	fmt.Printf(row, "defensiveness", pct(doc.A.Defensiveness), pct(doc.B.Defensiveness))
-	fmt.Printf(row, "politeness", pct(doc.A.Politeness), pct(doc.B.Politeness))
-	fmt.Printf(row, "pred misses",
+	fmt.Fprintf(w, row, "miss solo", pct(doc.A.MissSolo), pct(doc.B.MissSolo))
+	fmt.Fprintf(w, row, "miss corun", pct(doc.A.MissCorun), pct(doc.B.MissCorun))
+	fmt.Fprintf(w, row, "contention", pct(doc.A.Contention), pct(doc.B.Contention))
+	fmt.Fprintf(w, row, "defensiveness", pct(doc.A.Defensiveness), pct(doc.B.Defensiveness))
+	fmt.Fprintf(w, row, "politeness", pct(doc.A.Politeness), pct(doc.B.Politeness))
+	fmt.Fprintf(w, row, "pred misses",
 		fmt.Sprintf("%.0f", doc.A.PredMisses), fmt.Sprintf("%.0f", doc.B.PredMisses))
-	fmt.Printf("\npair cost (Eq-1 predicted co-run misses): %.0f\n", doc.PairCost)
-	return nil
+	_, err = fmt.Fprintf(w, "\npair cost (Eq-1 predicted co-run misses): %.0f\n", doc.PairCost)
+	return err
 }
 
 // scheduleView mirrors the server's ScheduleDoc wire format, loosely.
@@ -163,15 +163,16 @@ type scheduleView struct {
 	PairsCached   int     `json:"pairsCached"`
 }
 
-func doSchedule(r *retrier, base, list string, domains, slots int, cacheGeom string, timeout time.Duration, jsonOut bool) error {
+// doSchedule posts a /v1/schedule placement, waits for it, and writes
+// the schedule document to w: raw JSON with jsonOut, else the
+// interference matrix and the placement by domain.
+func doSchedule(w io.Writer, r *retrier, base, list string, domains, slots int, cacheGeom string, timeout time.Duration, jsonOut bool) error {
 	digests := splitDigests(list)
 	if len(digests) < 2 {
-		fmt.Fprintln(os.Stderr, "layoutctl: -schedule wants at least two comma-separated layout digests")
-		os.Exit(2)
+		return usageError("-schedule wants at least two comma-separated layout digests")
 	}
 	if domains <= 0 || slots <= 0 {
-		fmt.Fprintln(os.Stderr, "layoutctl: -schedule requires -domains and -slots")
-		os.Exit(2)
+		return usageError("-schedule requires -domains and -slots")
 	}
 	cache, err := parseCacheGeometry(cacheGeom)
 	if err != nil {
@@ -189,8 +190,8 @@ func doSchedule(r *retrier, base, list string, domains, slots int, cacheGeom str
 		return err
 	}
 	if jsonOut {
-		os.Stdout.Write(append(raw, '\n'))
-		return nil
+		_, err := w.Write(append(raw, '\n'))
+		return err
 	}
 	var wrap struct {
 		Schedule scheduleView `json:"schedule"`
@@ -199,7 +200,7 @@ func doSchedule(r *retrier, base, list string, domains, slots int, cacheGeom str
 		return fmt.Errorf("schedule: bad response %q: %w", raw, err)
 	}
 	doc := wrap.Schedule
-	fmt.Printf("schedule %s cached=%v (%d pairs composed, %d from cache)\n\n",
+	fmt.Fprintf(w, "schedule %s cached=%v (%d pairs composed, %d from cache)\n\n",
 		doc.Digest, v.Cached, doc.PairsComposed, doc.PairsCached)
 	m := textplot.Matrix{
 		Title:  "pairwise interference (Eq-1 predicted co-run misses)",
@@ -207,21 +208,24 @@ func doSchedule(r *retrier, base, list string, domains, slots int, cacheGeom str
 		Cells:  doc.Matrix,
 		Format: "%.0f",
 	}
-	os.Stdout.WriteString(m.String())
+	io.WriteString(w, m.String())
 	mode := "heuristic"
 	if doc.Placement.Exact {
 		mode = "exact"
 	}
-	fmt.Printf("\nplacement (%s, total cost %.0f):\n", mode, doc.Placement.Cost)
+	fmt.Fprintf(w, "\nplacement (%s, total cost %.0f):\n", mode, doc.Placement.Cost)
 	for i, dom := range doc.Placement.Domains {
 		names := make([]string, len(dom))
 		for k, idx := range dom {
+			if idx < 0 || idx >= len(doc.Labels) {
+				return fmt.Errorf("schedule %s: placement names program #%d of %d", doc.Digest, idx, len(doc.Labels))
+			}
 			names[k] = fmt.Sprintf("#%d %s", idx, doc.Labels[idx])
 		}
-		fmt.Printf("  domain %d: %s\n", i, strings.Join(names, ", "))
+		fmt.Fprintf(w, "  domain %d: %s\n", i, strings.Join(names, ", "))
 	}
 	if doc.WorstKnown && doc.WorstCost > 0 {
-		fmt.Printf("worst-case pairing cost %.0f; placement saves %.1f%%\n",
+		fmt.Fprintf(w, "worst-case pairing cost %.0f; placement saves %.1f%%\n",
 			doc.WorstCost, 100*(doc.WorstCost-doc.Placement.Cost)/doc.WorstCost)
 	}
 	return nil

@@ -81,19 +81,30 @@ func (s *Stats) Add(other Stats) {
 	s.PrefetchFills += other.PrefetchFills
 }
 
-type way struct {
-	line     int64
-	valid    bool
-	prefetch bool
-}
+// emptyWay marks an invalid way in the tag array. Lines are addresses
+// divided by the line size, offset by PeerLineOffset multiples, so no
+// access names it.
+const emptyWay int64 = math.MinInt64
 
 // Cache is a set-associative LRU cache over line numbers
 // (line = address / LineBytes). Associativity is expected to be small
-// (2-16), so each set is a move-to-front array.
+// (2-16), so each set is a move-to-front run of one flat tag array:
+// set s holds tags[s*assoc : (s+1)*assoc], most recently used first,
+// with emptyWay in the ways not yet filled.
+//
+// Prefetch state lives off the demand path: pf is allocated by the
+// first Prefetch and then flags each way, moving with its tag; a cache
+// that is never prefetched into (every Pin-style replay) leaves it nil
+// and its accesses touch the tags alone.
 type Cache struct {
-	cfg  Config
-	sets [][]way
+	cfg   Config
+	tags  []int64
+	pf    []bool
+	assoc int
+	// mask selects a line's set when the set count is a power of two;
+	// otherwise it is -1 and the set is line % sets.
 	mask int64
+	sets int64
 }
 
 // New creates an empty cache.
@@ -101,64 +112,102 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := cfg.Sets()
-	sets := make([][]way, n)
-	backing := make([]way, n*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
+	n := int64(cfg.Sets())
+	c := &Cache{cfg: cfg, tags: make([]int64, n*int64(cfg.Assoc)), assoc: cfg.Assoc, mask: -1, sets: n}
+	if n&(n-1) == 0 {
+		c.mask = n - 1
 	}
-	return &Cache{cfg: cfg, sets: sets, mask: int64(n - 1)}
+	c.Flush()
+	return c
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) set(line int64) []way {
-	n := int64(len(c.sets))
-	if n&(n-1) == 0 {
-		return c.sets[line&c.mask]
+// base returns the index of line's set in the tag array.
+func (c *Cache) base(line int64) int {
+	if c.mask >= 0 {
+		return int(line&c.mask) * c.assoc
 	}
-	return c.sets[line%n]
+	return int(line%c.sets) * c.assoc
 }
 
 // Access performs a demand access to a line, updating st. It returns
 // true on hit.
 func (c *Cache) Access(line int64, st *Stats) bool {
 	st.Accesses++
-	s := c.set(line)
+	if c.pf != nil {
+		return c.accessPrefetched(line, st)
+	}
+	b := c.base(line)
+	if s := c.tags[b : b+c.assoc : b+c.assoc]; s[0] == line || promote(s, line) {
+		return true
+	}
+	st.Misses++
+	return false
+}
+
+// promote moves line to the front of set s, shifting the ways before it
+// back one; a line not in s enters at the front and the LRU way drops
+// out. It reports whether line was present.
+func promote(s []int64, line int64) bool {
+	i := 1
+	for i < len(s) && s[i] != line {
+		i++
+	}
+	hit := i < len(s)
+	if !hit {
+		i = len(s) - 1
+	}
+	for ; i > 0; i-- {
+		s[i] = s[i-1]
+	}
+	s[0] = line
+	return hit
+}
+
+// accessPrefetched is Access on a cache holding prefetch state: each
+// way's flag moves with its tag, and a demand hit on a prefetched line
+// counts once in PrefetchHits.
+func (c *Cache) accessPrefetched(line int64, st *Stats) bool {
+	b := c.base(line)
+	s, f := c.tags[b:b+c.assoc], c.pf[b:b+c.assoc]
 	for i := range s {
-		if s[i].valid && s[i].line == line {
-			if s[i].prefetch {
+		if s[i] == line {
+			if f[i] {
 				st.PrefetchHits++
-				s[i].prefetch = false
 			}
-			mtf(s, i)
+			copy(s[1:i+1], s[:i])
+			copy(f[1:i+1], f[:i])
+			s[0], f[0] = line, false
 			return true
 		}
 	}
 	st.Misses++
-	fill(s, line, false)
+	fill(s, f, line, false)
 	return false
 }
 
 // Prefetch fills a line without counting a demand access; it does not
 // disturb LRU order of present lines and inserts at MRU position.
 func (c *Cache) Prefetch(line int64, st *Stats) {
-	s := c.set(line)
-	for i := range s {
-		if s[i].valid && s[i].line == line {
-			return // already present
-		}
+	if c.Contains(line) {
+		return
+	}
+	if c.pf == nil {
+		// Every line already present came in on demand.
+		c.pf = make([]bool, len(c.tags))
 	}
 	st.PrefetchFills++
-	fill(s, line, true)
+	b := c.base(line)
+	fill(c.tags[b:b+c.assoc], c.pf[b:b+c.assoc], line, true)
 }
 
 // Contains reports whether a line is present (without touching LRU).
 func (c *Cache) Contains(line int64) bool {
-	s := c.set(line)
-	for i := range s {
-		if s[i].valid && s[i].line == line {
+	b := c.base(line)
+	for _, t := range c.tags[b : b+c.assoc] {
+		if t == line {
 			return true
 		}
 	}
@@ -167,25 +216,16 @@ func (c *Cache) Contains(line int64) bool {
 
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() {
-	for _, s := range c.sets {
-		for i := range s {
-			s[i] = way{}
-		}
+	for i := range c.tags {
+		c.tags[i] = emptyWay
 	}
+	clear(c.pf)
 }
 
-// mtf moves s[i] to the front (MRU) of the set.
-func mtf(s []way, i int) {
-	if i == 0 {
-		return
-	}
-	w := s[i]
-	copy(s[1:i+1], s[:i])
-	s[0] = w
-}
-
-// fill inserts a line at MRU, evicting the LRU way.
-func fill(s []way, line int64, pf bool) {
+// fill inserts a line at MRU of set s (with prefetch flags f), evicting
+// the LRU way.
+func fill(s []int64, f []bool, line int64, pf bool) {
 	copy(s[1:], s[:len(s)-1])
-	s[0] = way{line: line, valid: true, prefetch: pf}
+	copy(f[1:], f[:len(f)-1])
+	s[0], f[0] = line, pf
 }

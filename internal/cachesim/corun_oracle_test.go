@@ -2,6 +2,7 @@ package cachesim_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"codelayout/internal/cachesim"
@@ -11,9 +12,9 @@ import (
 	"codelayout/internal/trace"
 )
 
-// simulateCorunAppendLines is the co-run kernel as it was before
-// Replayer.Step, kept verbatim as the oracle: each turn pulls one block
-// occurrence per thread through AppendLines(buf, 1).
+// simulateCorunAppendLines is the oracle co-run kernel, the one the
+// package ran before it replayed resolved laps: each turn pulls one
+// block occurrence per thread through AppendLines(buf, 1).
 func simulateCorunAppendLines(cfg cachesim.Config, primary, peer *layout.Replayer) cachesim.CorunResult {
 	c := cachesim.New(cfg)
 	var res cachesim.CorunResult
@@ -47,7 +48,7 @@ type corunSide struct {
 	tr *trace.Trace
 }
 
-// checkCorunMatchesOracle runs the stepped kernel and the AppendLines
+// checkCorunMatchesOracle runs the lap kernel and the AppendLines
 // oracle on fresh replayers and requires equal results and equal peer
 // laps.
 func checkCorunMatchesOracle(t *testing.T, name string, cfg cachesim.Config, primary, peer corunSide) {
@@ -57,7 +58,7 @@ func checkCorunMatchesOracle(t *testing.T, name string, cfg cachesim.Config, pri
 	gotPeer := layout.NewReplayer(peer.l, peer.tr, cfg.LineBytes, true)
 	got := cachesim.SimulateCorun(cfg, layout.NewReplayer(primary.l, primary.tr, cfg.LineBytes, false), gotPeer)
 	if got != want {
-		t.Fatalf("%s: stepped kernel %+v, oracle %+v", name, got, want)
+		t.Fatalf("%s: lap kernel %+v, oracle %+v", name, got, want)
 	}
 	if gotPeer.Laps() != wantPeer.Laps() {
 		t.Fatalf("%s: peer replayer laps %d, oracle %d", name, gotPeer.Laps(), wantPeer.Laps())
@@ -85,7 +86,7 @@ func randomTrace(p *ir.Program, n int, rng *rand.Rand) *trace.Trace {
 	return trace.New(syms)
 }
 
-// TestSimulateCorunMatchesAppendLinesOracle: the stepped co-run kernel
+// TestSimulateCorunMatchesAppendLinesOracle: the lap co-run kernel
 // replays exactly the fetch streams the AppendLines-driven kernel did,
 // on suite layouts (baseline and optimized) and on small random layouts
 // with stubs and appended jumps, with primaries shorter and longer than
@@ -93,7 +94,15 @@ func randomTrace(p *ir.Program, n int, rng *rand.Rand) *trace.Trace {
 // occurrence whose displaced fall-through is the trace's first block.
 func TestSimulateCorunMatchesAppendLinesOracle(t *testing.T) {
 	small := cachesim.Config{SizeBytes: 2 << 10, Assoc: 2, LineBytes: 32}
-	geometries := []cachesim.Config{cachesim.L1IDefault, small}
+	geometries := []cachesim.Config{
+		cachesim.L1IDefault,
+		small,
+		// 96 sets: not a power of two, so sets come from a modulus and
+		// PeerLineOffset moves the peer's lines 64 sets over.
+		{SizeBytes: 24 << 10, Assoc: 4, LineBytes: 64},
+		{SizeBytes: 4 << 10, Assoc: 1, LineBytes: 64},   // direct-mapped
+		{SizeBytes: 32 << 10, Assoc: 16, LineBytes: 64}, // 16-way
+	}
 
 	t.Run("suite", func(t *testing.T) {
 		var sides []corunSide
@@ -139,6 +148,46 @@ func TestSimulateCorunMatchesAppendLinesOracle(t *testing.T) {
 			for _, cfg := range geometries {
 				checkCorunMatchesOracle(t, "random", cfg, a, b)
 				checkCorunMatchesOracle(t, "random swapped", cfg, b, a)
+			}
+		}
+	})
+
+	// Replayers already part-way through their traces: the kernel starts
+	// from their cursors and leaves both where the oracle leaves them.
+	t.Run("cursors", func(t *testing.T) {
+		p, err := core.LoadProgram("429.mcf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(29))
+		for i := 0; i < 12; i++ {
+			a := corunSide{shuffledLayout(p, rng), randomTrace(p, 1+rng.Intn(800), rng)}
+			b := corunSide{shuffledLayout(p, rng), randomTrace(p, 1+rng.Intn(800), rng)}
+			skipA, skipB := rng.Intn(a.tr.Len()+1), rng.Intn(3*b.tr.Len())
+			cfg := geometries[i%len(geometries)]
+			mk := func() (*layout.Replayer, *layout.Replayer) {
+				pr := layout.NewReplayer(a.l, a.tr, cfg.LineBytes, false)
+				pe := layout.NewReplayer(b.l, b.tr, cfg.LineBytes, true)
+				pr.AppendLines(nil, skipA)
+				pe.AppendLines(nil, skipB)
+				return pr, pe
+			}
+			wantP, wantQ := mk()
+			want := simulateCorunAppendLines(cfg, wantP, wantQ)
+			gotP, gotQ := mk()
+			got := cachesim.SimulateCorun(cfg, gotP, gotQ)
+			if got != want {
+				t.Fatalf("case %d: lap kernel %+v, oracle %+v", i, got, want)
+			}
+			for _, c := range [][2]*layout.Replayer{{gotP, wantP}, {gotQ, wantQ}} {
+				if c[0].Pos() != c[1].Pos() || c[0].Laps() != c[1].Laps() || c[0].Done() != c[1].Done() {
+					t.Fatalf("case %d: cursor (pos %d, laps %d), oracle (pos %d, laps %d)",
+						i, c[0].Pos(), c[0].Laps(), c[1].Pos(), c[1].Laps())
+				}
+				next, _ := c[1].AppendLines(nil, 4)
+				if got, _ := c[0].AppendLines(nil, 4); !reflect.DeepEqual(got, next) {
+					t.Fatalf("case %d: stream after the co-run diverges", i)
+				}
 			}
 		}
 	})

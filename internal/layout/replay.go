@@ -1,6 +1,9 @@
 package layout
 
 import (
+	"fmt"
+	"math"
+
 	"codelayout/internal/ir"
 	"codelayout/internal/trace"
 )
@@ -44,6 +47,42 @@ func (r *Replayer) Laps() int { return r.laps }
 // Pos returns the number of block occurrences consumed in the current
 // lap.
 func (r *Replayer) Pos() int { return r.pos }
+
+// Wraps reports whether the replayer restarts its trace when exhausted.
+func (r *Replayer) Wraps() bool { return r.wrap }
+
+// Stream returns the fetch stream the replayer replays.
+func (r *Replayer) Stream() Stream {
+	return Stream{Layout: r.l, Trace: r.t, LineBytes: int(r.lineBytes)}
+}
+
+// Skip moves the cursor past n block occurrences without emitting their
+// lines, leaving it (laps included) where AppendLines(dst, n) would. It
+// returns the number skipped, fewer than n only at a non-wrapping trace
+// end. A caller that replays a Stream's resolved Lap itself uses it to
+// keep the replayer's cursor in step.
+func (r *Replayer) Skip(n int) int {
+	total := len(r.t.Syms)
+	if n <= 0 || total == 0 {
+		return 0
+	}
+	if left := total - r.pos; n <= left || !r.wrap {
+		n = min(n, left)
+		if n > 0 {
+			r.pos += n
+			r.prev = ir.BlockID(r.t.Syms[r.pos-1])
+		}
+		return n
+	}
+	// AppendLines wraps lazily, when an occurrence past the trace end is
+	// asked for, so the cursor lands in (0, total].
+	past := n - (total - r.pos)
+	wraps := (past + total - 1) / total
+	r.laps += wraps
+	r.pos = past - (wraps-1)*total
+	r.prev = ir.BlockID(r.t.Syms[r.pos-1])
+	return n
+}
 
 // Next replays one block occurrence: it calls emit for every cache line
 // fetched and returns the fetched instruction bytes. ok is false when a
@@ -195,57 +234,6 @@ func buildReplayPlan(l *Layout, lineBytes int64) *replayPlan {
 	return p
 }
 
-// Step replays one block occurrence and returns the cache lines it
-// fetches as two inclusive ranges: the entry stub's [stubFirst,
-// stubLast], empty (stubFirst > stubLast) unless the occurrence is a
-// call into a stub-carrying layout's function, then the block's own
-// [first, last]. ok is false when a non-wrapping replayer is exhausted.
-// It is the per-occurrence form of AppendLines — the same rules and
-// fetch stream, with no buffer — for callers that interleave replayers
-// one occurrence at a time, as the co-run simulation does. The rules
-// are spelled out here as in AppendLines and StreamReplayer.emit: on
-// one shared helper the batched and chunk-fed solo replays, which every
-// optimization job runs, measured slower.
-func (r *Replayer) Step() (stubFirst, stubLast, first, last int64, ok bool) {
-	if r.plan == nil {
-		r.plan = buildReplayPlan(r.l, r.lineBytes)
-	}
-	p, syms := r.plan, r.t.Syms
-	n := len(syms)
-	if r.pos >= n {
-		if !r.wrap || n == 0 {
-			return 1, 0, 1, 0, false
-		}
-		r.pos = 0
-		r.laps++
-		r.prev = ir.NoBlock
-	}
-	b := ir.BlockID(syms[r.pos])
-	r.pos++
-	stubFirst, stubLast = 1, 0
-	if p.hasStubs && r.prev != ir.NoBlock {
-		if fn := p.entryFn[b]; fn >= 0 && p.callCallee[r.prev] == fn {
-			stubFirst, stubLast = p.stubFirst[fn], p.stubLast[fn]
-		}
-	}
-	last = p.lastFull[b]
-	if f := p.fall[b]; f != ir.NoBlock {
-		// The appended jump executes only when the trace goes to the
-		// displaced fall-through (same rule as effectiveSize).
-		next := ir.NoBlock
-		if r.pos < n {
-			next = ir.BlockID(syms[r.pos])
-		} else if r.wrap {
-			next = ir.BlockID(syms[0])
-		}
-		if next != f {
-			last = p.lastShort[b]
-		}
-	}
-	r.prev = b
-	return stubFirst, stubLast, p.lineFirst[b], last, true
-}
-
 // AppendLines replays up to maxBlocks block occurrences, appending every
 // fetched cache line to dst, and returns the extended slice plus the
 // number of occurrences replayed (0 when a non-wrapping replayer is
@@ -302,4 +290,144 @@ func (r *Replayer) AppendLines(dst []int64, maxBlocks int) ([]int64, int) {
 	}
 	r.pos, r.prev = pos, prev
 	return dst, blocks
+}
+
+// Stream names one fetch stream: a layout replaying a block trace at a
+// line size. It is comparable, so callers that replay one stream in
+// several simulations can resolve it once.
+type Stream struct {
+	Layout    *Layout
+	Trace     *trace.Trace
+	LineBytes int
+}
+
+// LineRange is an inclusive run of cache lines [First, Last] fetched
+// by one block occurrence. In a Lap, an entry stub's range is stored
+// with First complemented (^first, always negative) so that it is told
+// apart from a block's range without a flag word.
+type LineRange struct{ First, Last int32 }
+
+// Lap is one lap of a Stream resolved to per-occurrence line ranges:
+// the whole fetch stream at 8 bytes per range, for replays that walk
+// the same stream many times or interleave it one occurrence at a time
+// with another. The rules are those of AppendLines, applied once.
+type Lap struct {
+	// Ranges holds the lap in replay order. An occurrence that calls
+	// into a stub-carrying layout's function entry contributes its stub
+	// range (First complemented) and then its block range; every other
+	// occurrence contributes its block range alone. The final
+	// occurrence's block range has its non-wrapping form.
+	Ranges []LineRange
+	// WrapLast is the final occurrence's block Last when the replay
+	// wraps: its successor is then the lap's first occurrence, which the
+	// appended-jump rule may treat differently from the trace end. The
+	// first occurrence of a lap never fetches a stub, so every other
+	// range is the same on every lap.
+	WrapLast int32
+	// Occurrences is the number of block occurrences in the lap; Lines
+	// the number of lines the non-wrapping lap fetches.
+	Occurrences int
+	Lines       int
+}
+
+// Resolve replays one lap of the stream into a Lap. Lines are stored
+// as int32: it panics if the layout reaches past math.MaxInt32 lines
+// (2 GiB of code at 1-byte lines), which no suite program approaches.
+func (s Stream) Resolve() *Lap {
+	p := buildReplayPlan(s.Layout, int64(s.LineBytes))
+	if top := p.maxLine(); top > math.MaxInt32 {
+		panic(fmt.Sprintf("layout: line %d of a %d-byte-line stream overflows int32", top, s.LineBytes))
+	}
+	syms := s.Trace.Syms
+	n := len(syms)
+	lap := &Lap{Occurrences: n}
+	if n == 0 {
+		return lap
+	}
+	stubs := 0
+	if p.hasStubs {
+		for i := 1; i < n; i++ {
+			if fn := p.entryFn[syms[i]]; fn >= 0 && p.callCallee[syms[i-1]] == fn {
+				stubs++
+			}
+		}
+	}
+	rs := make([]LineRange, 0, n+stubs)
+	lines := 0
+	prev := ir.NoBlock
+	for i, sym := range syms {
+		b := ir.BlockID(sym)
+		if p.hasStubs && prev != ir.NoBlock {
+			if fn := p.entryFn[b]; fn >= 0 && p.callCallee[prev] == fn {
+				rs = append(rs, LineRange{^int32(p.stubFirst[fn]), int32(p.stubLast[fn])})
+				lines += int(p.stubLast[fn]-p.stubFirst[fn]) + 1
+			}
+		}
+		next := ir.NoBlock
+		if i+1 < n {
+			next = ir.BlockID(syms[i+1])
+		}
+		last := p.blockLast(b, next)
+		rs = append(rs, LineRange{int32(p.lineFirst[b]), int32(last)})
+		lines += int(last-p.lineFirst[b]) + 1
+		prev = b
+	}
+	lap.Ranges = rs
+	lap.Lines = lines
+	lap.WrapLast = int32(p.blockLast(prev, ir.BlockID(syms[0])))
+	return lap
+}
+
+// RangeIndex returns the index in Ranges of occurrence k's first range
+// (len(Ranges) for k = Occurrences), for a replay that starts mid-lap.
+func (l *Lap) RangeIndex(k int) int {
+	if k >= l.Occurrences {
+		return len(l.Ranges)
+	}
+	i := 0
+	for ; k > 0; i++ {
+		if l.Ranges[i].First >= 0 {
+			k--
+		}
+	}
+	return i
+}
+
+// LineTrace returns the lines the non-wrapping lap fetches, in order,
+// in a slice of exactly Lines entries: the footprint model's input.
+func (l *Lap) LineTrace() []int32 {
+	out := make([]int32, 0, l.Lines)
+	for _, r := range l.Ranges {
+		first := r.First
+		if first < 0 {
+			first = ^first
+		}
+		for ln := first; ln <= r.Last; ln++ {
+			out = append(out, ln)
+		}
+	}
+	return out
+}
+
+// blockLast returns the last line an occurrence of b fetches when the
+// trace goes on to next (ir.NoBlock at a non-wrapping end): the
+// appended jump executes only when the trace goes to the displaced
+// fall-through (same rule as effectiveSize).
+func (p *replayPlan) blockLast(b, next ir.BlockID) int64 {
+	if f := p.fall[b]; f != ir.NoBlock && next != f {
+		return p.lastShort[b]
+	}
+	return p.lastFull[b]
+}
+
+// maxLine returns the highest line any occurrence can fetch.
+func (p *replayPlan) maxLine() int64 {
+	top := int64(0)
+	for _, ln := range p.lastFull {
+		top = max(top, ln)
+	}
+	for _, ln := range p.stubLast {
+		top = max(top, ln)
+	}
+	return top
 }

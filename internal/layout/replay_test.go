@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -139,55 +140,92 @@ func TestAppendLinesMixedWithNext(t *testing.T) {
 	}
 }
 
-// replayAllStep drains up to maxBlocks occurrences through Step and
-// returns the fetched lines, stub range first, as AppendLines orders
-// them.
-func replayAllStep(r *Replayer, maxBlocks int) []int64 {
+// lapOccurrence returns occurrence k's lines from a resolved lap, stub
+// range first, as AppendLines orders them; a wrapping replay takes the
+// final occurrence's block range in its wrapping form.
+func lapOccurrence(lap *Lap, k int, wrap bool) []int64 {
 	var lines []int64
-	for i := 0; i < maxBlocks; i++ {
-		sf, sl, first, last, ok := r.Step()
-		if !ok {
-			break
+	i := lap.RangeIndex(k)
+	if r := lap.Ranges[i]; r.First < 0 {
+		for ln := ^r.First; ln <= r.Last; ln++ {
+			lines = append(lines, int64(ln))
 		}
-		for ln := sf; ln <= sl; ln++ {
-			lines = append(lines, ln)
-		}
-		for ln := first; ln <= last; ln++ {
-			lines = append(lines, ln)
-		}
+		i++
+	}
+	r := lap.Ranges[i]
+	last := r.Last
+	if wrap && k == lap.Occurrences-1 {
+		last = lap.WrapLast
+	}
+	for ln := r.First; ln <= last; ln++ {
+		lines = append(lines, int64(ln))
 	}
 	return lines
 }
 
-// TestStepMatchesAppendLines: stepping one occurrence at a time yields
-// the AppendLines fetch stream, cursor and laps, with and without wrap;
-// mixing the two paths on one replayer keeps the shared cursor
-// consistent.
-func TestStepMatchesAppendLines(t *testing.T) {
-	for name, l := range replayerParityLayouts(t) {
-		for _, wrap := range []bool{false, true} {
-			tr := parityTrace(37, len(l.Prog.Blocks))
-			const occurrences = 496 // a multiple of the mixed loop's 8
-			ref := NewReplayer(l, tr, 64, wrap)
-			want, _ := ref.AppendLines(nil, occurrences)
-			r := NewReplayer(l, tr, 64, wrap)
-			if got := replayAllStep(r, occurrences); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s wrap=%v: stepped stream diverges from AppendLines", name, wrap)
+// checkResolveMatchesAppendLines requires every occurrence of three laps
+// of tr (one for a non-wrapping replayer) to fetch from the resolved lap
+// exactly the lines AppendLines(buf, 1) emits, and the lap's line count
+// and line trace to match the non-wrapping stream.
+func checkResolveMatchesAppendLines(t *testing.T, name string, l *Layout, tr *trace.Trace, lineBytes int) {
+	t.Helper()
+	lap := Stream{Layout: l, Trace: tr, LineBytes: lineBytes}.Resolve()
+	if lap.Occurrences != tr.Len() {
+		t.Fatalf("%s: lap holds %d occurrences, trace %d", name, lap.Occurrences, tr.Len())
+	}
+	for _, wrap := range []bool{false, true} {
+		r := NewReplayer(l, tr, lineBytes, wrap)
+		laps := 1
+		if wrap {
+			laps = 3
+		}
+		var stream []int64
+		for k := 0; k < laps*tr.Len(); k++ {
+			want, blocks := r.AppendLines(nil, 1)
+			if blocks != 1 {
+				t.Fatalf("%s wrap=%v: AppendLines ended at occurrence %d", name, wrap, k)
 			}
-			if r.Laps() != ref.Laps() || r.Pos() != ref.Pos() || r.Done() != ref.Done() {
-				t.Fatalf("%s wrap=%v: cursor (laps %d, pos %d) vs (laps %d, pos %d)",
-					name, wrap, r.Laps(), r.Pos(), ref.Laps(), ref.Pos())
+			if got := lapOccurrence(lap, k%tr.Len(), wrap); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s wrap=%v occurrence %d: lap %v, AppendLines %v", name, wrap, k, got, want)
 			}
+			if k < tr.Len() && !wrap {
+				stream = append(stream, want...)
+			}
+		}
+		if wrap {
+			continue
+		}
+		if _, blocks := r.AppendLines(nil, 1); blocks != 0 {
+			t.Fatalf("%s: non-wrapping replayer ran past the lap", name)
+		}
+		if lap.Lines != len(stream) {
+			t.Fatalf("%s: lap counts %d lines, stream has %d", name, lap.Lines, len(stream))
+		}
+		got := lap.LineTrace()
+		if len(got) != len(stream) || cap(got) != lap.Lines {
+			t.Fatalf("%s: line trace len %d cap %d, want %d", name, len(got), cap(got), len(stream))
+		}
+		for i := range got {
+			if int64(got[i]) != stream[i] {
+				t.Fatalf("%s: line trace diverges at %d", name, i)
+			}
+		}
+	}
+}
 
-			mixed := NewReplayer(l, tr, 64, wrap)
-			var got []int64
-			for replayed := 0; replayed < occurrences; replayed += 8 {
-				got, _ = mixed.AppendLines(got, 5)
-				got = append(got, replayAllStep(mixed, 3)...)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s wrap=%v: mixed Step/AppendLines stream diverges", name, wrap)
-			}
+// TestResolveMatchesAppendLines: a resolved lap replays exactly the
+// AppendLines fetch stream, occurrence by occurrence, with and without
+// wrap, over the parity layouts and short, empty and single-occurrence
+// traces.
+func TestResolveMatchesAppendLines(t *testing.T) {
+	for name, l := range replayerParityLayouts(t) {
+		for _, n := range []int{1, 2, 37, 300} {
+			checkResolveMatchesAppendLines(t, name, l, parityTrace(n, len(l.Prog.Blocks)), 64)
+		}
+		checkResolveMatchesAppendLines(t, name+" 4-byte lines", l, parityTrace(37, len(l.Prog.Blocks)), 4)
+		lap := Stream{Layout: l, Trace: trace.New(nil), LineBytes: 64}.Resolve()
+		if lap.Occurrences != 0 || len(lap.Ranges) != 0 || lap.Lines != 0 || len(lap.LineTrace()) != 0 {
+			t.Fatalf("%s: empty trace resolved to %+v", name, lap)
 		}
 	}
 	// A last occurrence whose displaced fall-through is the trace's
@@ -202,18 +240,43 @@ func TestStepMatchesAppendLines(t *testing.T) {
 		}
 		found = true
 		tr := trace.New([]int32{int32(br.Fall), int32(br.Taken), int32(b)})
-		for _, wrap := range []bool{false, true} {
-			want, _ := NewReplayer(l, tr, 4, wrap).AppendLines(nil, 7)
-			if got := replayAllStep(NewReplayer(l, tr, 4, wrap), 7); !reflect.DeepEqual(got, want) {
-				t.Fatalf("block %d wrap=%v: stepped stream %v, AppendLines %v", b, wrap, got, want)
-			}
+		checkResolveMatchesAppendLines(t, fmt.Sprintf("block %d", b), l, tr, 4)
+		lap := Stream{Layout: l, Trace: tr, LineBytes: 4}.Resolve()
+		if lap.WrapLast == lap.Ranges[len(lap.Ranges)-1].Last {
+			t.Fatalf("block %d: the wrapping form fetches no more than the trace end's", b)
 		}
 	}
 	if !found {
 		t.Fatal("the reversed layout displaced no branch fall-through")
 	}
-	r := NewReplayer(Original(fig3Prog(t)), trace.New(nil), 64, true)
-	if _, _, _, _, ok := r.Step(); ok {
-		t.Fatal("Step on an empty wrapping trace reported an occurrence")
+}
+
+// TestSkipMatchesAppendLines: Skip leaves the cursor, laps and the
+// stub rule's previous block where AppendLines would, for skips within
+// a lap, across several laps and past a non-wrapping end.
+func TestSkipMatchesAppendLines(t *testing.T) {
+	for name, l := range replayerParityLayouts(t) {
+		tr := parityTrace(37, len(l.Prog.Blocks))
+		for _, wrap := range []bool{false, true} {
+			for _, steps := range [][]int{{5}, {37}, {36, 1, 1}, {100}, {3, 74}, {0, 38}} {
+				ref := NewReplayer(l, tr, 64, wrap)
+				r := NewReplayer(l, tr, 64, wrap)
+				for _, n := range steps {
+					_, want := ref.AppendLines(nil, n)
+					if got := r.Skip(n); got != want {
+						t.Fatalf("%s wrap=%v %v: skipped %d, AppendLines replayed %d", name, wrap, steps, got, want)
+					}
+				}
+				if r.Pos() != ref.Pos() || r.Laps() != ref.Laps() || r.Done() != ref.Done() {
+					t.Fatalf("%s wrap=%v %v: cursor (pos %d, laps %d), AppendLines (pos %d, laps %d)",
+						name, wrap, steps, r.Pos(), r.Laps(), ref.Pos(), ref.Laps())
+				}
+				// The next occurrence depends on the previous block.
+				want, _ := ref.AppendLines(nil, 5)
+				if got, _ := r.AppendLines(nil, 5); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s wrap=%v %v: stream after Skip diverges", name, wrap, steps)
+				}
+			}
+		}
 	}
 }

@@ -50,10 +50,7 @@ func (r *StreamReplayer) emit(dst []int64, b, next ir.BlockID) []int64 {
 			}
 		}
 	}
-	last := p.lastFull[b]
-	if f := p.fall[b]; f != ir.NoBlock && next != f {
-		last = p.lastShort[b]
-	}
+	last := p.blockLast(b, next)
 	for ln := p.lineFirst[b]; ln <= last; ln++ {
 		dst = append(dst, ln)
 	}

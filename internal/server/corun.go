@@ -17,6 +17,7 @@ import (
 	"codelayout/internal/footprint"
 	"codelayout/internal/layout"
 	"codelayout/internal/obs"
+	"codelayout/internal/parallel"
 	"codelayout/internal/stats"
 	"codelayout/internal/trace"
 )
@@ -114,29 +115,20 @@ type corunEntry struct {
 }
 
 // curve returns the entry's footprint curve over its optimized layout
-// replayed to a cache-line reference trace, memoized per line size. The
-// line trace lives only while the curve is computed. Lines fit in int32
-// because layouts address at most a few megabytes of code.
-func (e *corunEntry) curve(ctx context.Context, lineBytes, workers int) *footprint.Curve {
+// replayed to a cache-line reference trace, memoized per line size.
+// lap is the optimized stream already resolved at lineBytes, or nil to
+// resolve it here. The line trace is sized exactly from the lap and
+// lives only while the curve is computed.
+func (e *corunEntry) curve(ctx context.Context, lineBytes, workers int, lap *layout.Lap) *footprint.Curve {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c, ok := e.curves[lineBytes]; ok {
 		return c
 	}
-	r := layout.NewReplayer(e.opt, e.tr, lineBytes, false)
-	var lines []int32
-	buf := make([]int64, 0, 4096)
-	for {
-		out, blocks := r.AppendLines(buf[:0], 1024)
-		if blocks == 0 {
-			break
-		}
-		for _, ln := range out {
-			lines = append(lines, int32(ln))
-		}
-		buf = out[:0]
+	if lap == nil {
+		lap = layout.Stream{Layout: e.opt, Trace: e.tr, LineBytes: lineBytes}.Resolve()
 	}
-	c := footprint.NewCurveCtx(ctx, lines, nil, workers)
+	c := footprint.NewCurveCtx(ctx, lap.LineTrace(), nil, workers)
 	if e.curves == nil {
 		e.curves = make(map[int]*footprint.Curve)
 	}
@@ -341,8 +333,11 @@ func (s *Server) runCorunJob(poolCtx context.Context, j *Job, req *corunJobReque
 // baseline×baseline and optimized×baseline from each side's view
 // (defensiveness and politeness), plus the deployed optimized×optimized
 // pairing from both views (contention) — then adds the Eq-1 footprint
-// predictions the scheduler consumes. Sides are canonicalized to sorted
-// digest order so the document is identical for (a, b) and (b, a).
+// predictions the scheduler consumes. The simulations share the pair's
+// four resolved streams (simulatePair), and both footprint curves take
+// their line traces from the optimized ones; the streams live only
+// while the pair runs. Sides are canonicalized to sorted digest order
+// so the document is identical for (a, b) and (b, a).
 func (s *Server) computePair(ctx context.Context, cfg cachesim.Config, a, b *corunEntry, workers int) (*CorunDoc, error) {
 	if b.res.Digest < a.res.Digest {
 		a, b = b, a
@@ -352,23 +347,12 @@ func (s *Server) computePair(ctx context.Context, cfg cachesim.Config, a, b *cor
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep := func(l *layout.Layout, t *trace.Trace, wrap bool) *layout.Replayer {
-		return layout.NewReplayer(l, t, cfg.LineBytes, wrap)
-	}
-	jobs := []cachesim.CorunJob{
-		{Primary: rep(a.base, a.tr, false), Peer: rep(b.base, b.tr, true)}, // 0: baseline pairing, A's view
-		{Primary: rep(a.opt, a.tr, false), Peer: rep(b.base, b.tr, true)},  // 1: A optimized, peer baseline
-		{Primary: rep(b.base, b.tr, false), Peer: rep(a.base, a.tr, true)}, // 2: baseline pairing, B's view
-		{Primary: rep(b.opt, b.tr, false), Peer: rep(a.base, a.tr, true)},  // 3: B optimized, peer baseline
-		{Primary: rep(a.opt, a.tr, false), Peer: rep(b.opt, b.tr, true)},   // 4: deployed pairing, A's view
-		{Primary: rep(b.opt, b.tr, false), Peer: rep(a.opt, a.tr, true)},   // 5: deployed pairing, B's view
-	}
-	res := cachesim.SimulateCorunBatch(cfg, jobs, workers)
-	sp.SetAttr("sims", int64(len(jobs)))
+	res, aOpt, bOpt := simulatePair(cfg, a, b, workers)
+	sp.SetAttr("sims", int64(len(res)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pred := predictPair(cfg, a.curve(ctx, cfg.LineBytes, workers), b.curve(ctx, cfg.LineBytes, workers))
+	pred := predictPair(cfg, a.curve(ctx, cfg.LineBytes, workers, aOpt), b.curve(ctx, cfg.LineBytes, workers, bOpt))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -401,6 +385,36 @@ func (s *Server) computePair(ctx context.Context, cfg cachesim.Config, a, b *cor
 		PairCost: pred.cost,
 		PeerLaps: [2]int{res[4].PeerLaps, res[5].PeerLaps},
 	}, nil
+}
+
+// simulatePair resolves the four (layout, trace) streams of the pair
+// (a, b) once — a self-pairing's sides share one entry, and so their
+// streams — and runs computePair's six co-run simulations over them on
+// up to workers goroutines. It returns the results in computePair's
+// order and both optimized laps, the curves' input.
+func simulatePair(cfg cachesim.Config, a, b *corunEntry, workers int) (res []cachesim.CorunResult, aOpt, bOpt *layout.Lap) {
+	laps := make(map[layout.Stream]*layout.Lap, 4)
+	lap := func(l *layout.Layout, e *corunEntry) *layout.Lap {
+		st := layout.Stream{Layout: l, Trace: e.tr, LineBytes: cfg.LineBytes}
+		if laps[st] == nil {
+			laps[st] = st.Resolve()
+		}
+		return laps[st]
+	}
+	aBase, bBase := lap(a.base, a), lap(b.base, b)
+	aOpt, bOpt = lap(a.opt, a), lap(b.opt, b)
+	runs := [][2]*layout.Lap{
+		{aBase, bBase}, // 0: baseline pairing, A's view
+		{aOpt, bBase},  // 1: A optimized, peer baseline
+		{bBase, aBase}, // 2: baseline pairing, B's view
+		{bOpt, aBase},  // 3: B optimized, peer baseline
+		{aOpt, bOpt},   // 4: deployed pairing, A's view
+		{bOpt, aOpt},   // 5: deployed pairing, B's view
+	}
+	res, _ = parallel.Map(workers, len(runs), func(i int) (cachesim.CorunResult, error) {
+		return cachesim.SimulateCorunLaps(cfg, runs[i][0], runs[i][1]), nil
+	})
+	return res, aOpt, bOpt
 }
 
 // pairPrediction is the paper's Eq-1 prediction for one pairing: each

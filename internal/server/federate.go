@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -172,24 +173,39 @@ func (s *Server) scrapePeer(ctx context.Context, p cluster.Peer) (*obs.Expositio
 }
 
 // federatedSampleLine renders one sample with the node label injected
-// first and the original labels (sorted) preserved after it.
+// first and the original labels (sorted) preserved after it. A peer
+// series that carries its own node label keeps that value under
+// exported_node, Prometheus federation's convention for a scraped label
+// that collides with a target label; when the peer also uses that name,
+// the prefix repeats until the name is free.
 func federatedSampleLine(node string, sr obs.Series) string {
+	labels := sr.Labels
+	if v, ok := labels["node"]; ok {
+		labels = maps.Clone(labels)
+		delete(labels, "node")
+		name := "exported_node"
+		for {
+			if _, taken := labels[name]; !taken {
+				break
+			}
+			name = "exported_" + name
+		}
+		labels[name] = v
+	}
 	var b strings.Builder
 	b.WriteString(sr.Name)
 	b.WriteString(`{node=`)
 	b.WriteString(strconv.Quote(node))
-	if len(sr.Labels) > 0 {
-		keys := make([]string, 0, len(sr.Labels))
-		for k := range sr.Labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.WriteByte(',')
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(strconv.Quote(sr.Labels[k]))
-		}
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.WriteByte(',')
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(strconv.Quote(labels[k]))
 	}
 	b.WriteString("} ")
 	b.WriteString(formatPromValue(sr.Value))

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"codelayout/internal/cachesim"
+	"codelayout/internal/obs"
 	"codelayout/internal/schedule"
 )
 
@@ -64,6 +67,74 @@ func FuzzCorunScheduleBodies(f *testing.F) {
 				(topo.Domains > schedule.MaxTopologyDim || topo.SlotsPerDomain > schedule.MaxTopologyDim || topo.Capacity() <= 0) {
 				t.Fatalf("accepted topology %+v is beyond %d per axis or has capacity %d",
 					topo, schedule.MaxTopologyDim, topo.Capacity())
+			}
+		}
+	})
+}
+
+// FuzzFederatedSampleLine: federation relabels the series of untrusted
+// peer expositions. Every series obs.ParsePrometheusText accepts must
+// re-parse from its federatedSampleLine output with the same name and
+// value, node set to the scraping node's ID, every other label kept,
+// and a peer's own node label kept under the first free name of
+// exported_node, exported_exported_node, ...
+//
+//	go test ./internal/server -run '^$' -fuzz FuzzFederatedSampleLine -fuzztime 60s
+func FuzzFederatedSampleLine(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"# TYPE a_total counter\na_total 5\n", "n1"},
+		{"x{node=\"peer-own\"} 1\n", "n1"},
+		{"x{node=\"a\",exported_node=\"b\"} 1\nx{node=\"c\",exported_node=\"d\",exported_exported_node=\"e\"} 2\n", "n1"},
+		{"x{exported_node=\"b\"} 1\n", "n\"1\n"},
+		{"h_bucket{le=\"+Inf\",k=\"v\"} 3\nh_sum NaN\nh_count -Inf\nz -0\n", ""},
+		{"m{k=\"x}y\",j=\"a\\\"}\\\\\\xff\"} 1e-300\n", "\xff"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, exposition, node string) {
+		exp, err := obs.ParsePrometheusText(strings.NewReader(exposition))
+		if err != nil {
+			return
+		}
+		for _, sr := range exp.Series {
+			line := federatedSampleLine(node, sr)
+			out, err := obs.ParsePrometheusText(strings.NewReader(line + "\n"))
+			if err != nil || len(out.Series) != 1 {
+				t.Fatalf("series %s: federated line %q does not parse back: %v", sr.Key(), line, err)
+			}
+			got := out.Series[0]
+			sameValue := got.Value == sr.Value && math.Signbit(got.Value) == math.Signbit(sr.Value) ||
+				math.IsNaN(got.Value) && math.IsNaN(sr.Value)
+			if got.Name != sr.Name || !sameValue || got.Labels["node"] != node {
+				t.Fatalf("series %s: federated line %q parses to %s = %v", sr.Key(), line, got.Key(), got.Value)
+			}
+			if len(got.Labels) != len(sr.Labels)+1 {
+				t.Fatalf("series %s: federated line %q has labels %v", sr.Key(), line, got.Labels)
+			}
+			exported := ""
+			for k, v := range got.Labels {
+				if k == "node" {
+					continue
+				}
+				if want, ok := sr.Labels[k]; ok {
+					if v != want {
+						t.Fatalf("series %s: label %s = %q after federation", sr.Key(), k, v)
+					}
+					continue
+				}
+				exported = k
+				if want, ok := sr.Labels["node"]; !ok || v != want {
+					t.Fatalf("series %s: federation added label %s = %q", sr.Key(), k, v)
+				}
+			}
+			if _, ok := sr.Labels["node"]; ok {
+				base := exported
+				for strings.HasPrefix(base, "exported_") {
+					base = strings.TrimPrefix(base, "exported_")
+				}
+				if base != "node" || exported == "node" {
+					t.Fatalf("series %s: peer node label exported as %q", sr.Key(), exported)
+				}
 			}
 		}
 	})

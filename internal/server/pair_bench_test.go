@@ -50,9 +50,10 @@ func benchPairEntries(b *testing.B) []*corunEntry {
 // BenchmarkComputePair measures one /v1/corun pair analysis at the
 // default geometry over suite pairs, with fresh entries (nothing
 // memoized) and Workers 1. "pair" is the whole analysis; "sims",
-// "curves" and "solo" are its parts: the six co-run simulations, both
-// sides' footprint curves (line trace included) and both sides' solo
-// miss ratios. "cost" is one schedule matrix cell composed over fresh
+// "curves" and "solo" are its parts: the six co-run simulations as
+// computePair runs them (the four streams' resolution included), both
+// sides' footprint curves (each resolving its own stream to a line
+// trace, as a schedule does) and both sides' solo miss ratios. "cost" is one schedule matrix cell composed over fresh
 // entries: both curves and the Eq-1 prediction, no simulation. Each
 // reports ms/pair.
 func BenchmarkComputePair(b *testing.B) {
@@ -86,18 +87,7 @@ func BenchmarkComputePair(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
-				x, y := entries[p.a], entries[p.b]
-				rep := func(l *layout.Layout, e *corunEntry, wrap bool) *layout.Replayer {
-					return layout.NewReplayer(l, e.tr, cfg.LineBytes, wrap)
-				}
-				cachesim.SimulateCorunBatch(cfg, []cachesim.CorunJob{
-					{Primary: rep(x.base, x, false), Peer: rep(y.base, y, true)},
-					{Primary: rep(x.opt, x, false), Peer: rep(y.base, y, true)},
-					{Primary: rep(y.base, y, false), Peer: rep(x.base, x, true)},
-					{Primary: rep(y.opt, y, false), Peer: rep(x.base, x, true)},
-					{Primary: rep(x.opt, x, false), Peer: rep(y.opt, y, true)},
-					{Primary: rep(y.opt, y, false), Peer: rep(x.opt, x, true)},
-				}, 1)
+				simulatePair(cfg, entries[p.a], entries[p.b], 1)
 			}
 		}
 		perPair(b, time.Since(start))
@@ -106,8 +96,8 @@ func BenchmarkComputePair(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
-				fresh(entries[p.a]).curve(ctx, cfg.LineBytes, 1)
-				fresh(entries[p.b]).curve(ctx, cfg.LineBytes, 1)
+				fresh(entries[p.a]).curve(ctx, cfg.LineBytes, 1, nil)
+				fresh(entries[p.b]).curve(ctx, cfg.LineBytes, 1, nil)
 			}
 		}
 		perPair(b, time.Since(start))
@@ -120,7 +110,7 @@ func BenchmarkComputePair(b *testing.B) {
 				if y.res.Digest < x.res.Digest {
 					x, y = y, x
 				}
-				predictPair(cfg, x.curve(ctx, cfg.LineBytes, 1), y.curve(ctx, cfg.LineBytes, 1))
+				predictPair(cfg, x.curve(ctx, cfg.LineBytes, 1, nil), y.curve(ctx, cfg.LineBytes, 1, nil))
 			}
 		}
 		perPair(b, time.Since(start))

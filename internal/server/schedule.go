@@ -333,7 +333,7 @@ func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (
 // scheduleCurve is the matrix's per-entry work: the entry's memoized
 // footprint curve at lineBytes, computed serially.
 func scheduleCurve(ctx context.Context, e *corunEntry, lineBytes int) (*footprint.Curve, error) {
-	c := e.curve(ctx, lineBytes, 1)
+	c := e.curve(ctx, lineBytes, 1, nil)
 	return c, ctx.Err()
 }
 

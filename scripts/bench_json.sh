@@ -4,8 +4,9 @@
 #
 #   bench_json.sh run [out.json]
 #       Run the kernel benchmarks (affinity stack passes, TRG
-#       construction, footprint curve, co-run simulation, placement
-#       solver, streaming decode and feed) with -benchmem
+#       construction, footprint curve, co-run simulation, pair
+#       analysis, placement solver, streaming decode and feed) with
+#       -benchmem
 #       and write one JSON document with ns/op, B/op and allocs/op per
 #       benchmark, plus the machine it ran on: nproc, GOMAXPROCS (the
 #       -N suffix go test gives benchmark names, stripped from the
@@ -35,10 +36,12 @@ BENCHTIME=${BENCHTIME:-3x}
 # ride on every instrumented kernel and must stay allocation-free, and
 # the anti-entropy digest-set diff, which runs every sweep on every node
 # and must reuse its caller's buffer, the traceparent parse/format pair,
-# which runs on every inbound request and every peer hop, and the
-# runtime-telemetry sampler tick, which fires for the process lifetime.
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
-PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/cluster'
+# which runs on every inbound request and every peer hop, the
+# runtime-telemetry sampler tick, which fires for the process lifetime,
+# and the /v1/corun pair analysis (its six co-run simulations over four
+# resolved streams, both footprint curves and its parts).
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick|BenchmarkComputePair)$'
+PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/cluster ./internal/server'
 
 run() {
     out=${1:-$OUT_DEFAULT}
