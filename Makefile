@@ -34,9 +34,10 @@ race:
 
 # Race stress: the job-lifecycle, cache and ring tests — including
 # TestCancelQueuedJob and TestJobTraceTimeline, which used to flake
-# under load, and the cache hit answered at an upload's seal —
-# repeated under the race detector.
-RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestRing.*)$$
+# under load, the cache hit answered at an upload's seal, and the
+# DELETE of a running co-run or schedule, whose 202 once raced its
+# worker — repeated under the race detector.
+RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestScheduleCancelMidMatrix|TestCorunCancelRunning|TestRing.*)$$
 race-stress:
 	$(GO) test -race -count=20 -run '$(RACE_STRESS)' ./internal/server ./internal/obs
 

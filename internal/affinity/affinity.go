@@ -34,6 +34,7 @@ import (
 	"sort"
 
 	"codelayout/internal/flathash"
+	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 )
 
@@ -178,12 +179,16 @@ func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 // mid-phase. On cancellation the partial hierarchy is discarded and
 // ctx's error returned. The build is the Feeder run over the resident
 // trimmed trace: it cuts max(Workers, ⌈n/span⌉) shards of the trace in
-// place (span is FeedShardSpan or its default) and Finish builds the
-// hierarchy.
+// place (span is FeedShardSpan or its default) and finishes as Finish
+// does. Its affinity.hierarchy span covers the whole build, the stack
+// passes included, where a Feeder's covers only what runs after the
+// last Feed.
 func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hierarchy, error) {
+	sp := obs.StartSpan(ctx, "affinity.hierarchy")
+	defer sp.End()
 	f := NewFeeder(ctx, opt)
 	f.feedResident(t.Trimmed().Syms, opt.Workers)
-	return f.Finish(ctx)
+	return f.finish(sp)
 }
 
 // buildLevels fills hierarchy levels 2..wmax from the per-pair minimal
@@ -396,8 +401,9 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 		st.partnerSym = st.partnerSym[:0]
 	}
 	win := &st.win
-	for i := st.warmBeforeScratch(syms, lo, wmax); i < lo; i++ {
-		win.access(syms[i])
+	win.Reset(wmax, maxSym)
+	for i := st.warm.Before(syms, lo, wmax); i < lo; i++ {
+		win.Access(syms[i])
 	}
 	for i := lo; i < hi; i++ {
 		if i&cancelCheckMask == 0 {
@@ -405,9 +411,9 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 				return err
 			}
 		}
-		win.access(syms[i])
+		win.Access(syms[i])
 		st.offsets[i-lo] = int32(len(st.partnerSym))
-		st.partnerSym = append(st.partnerSym, win.syms[1:]...)
+		st.partnerSym = append(st.partnerSym, win.Syms()[1:]...)
 	}
 	st.offsets[hi-lo] = int32(len(st.partnerSym))
 
@@ -419,9 +425,9 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 	// shardState: one load and store per partner instead of a linear
 	// scan over the merged set. A symbol whose list is already empty
 	// needs no merge at all.
-	win.reset(wmax)
-	for i := st.warmAfterScratch(syms, hi, wmax) - 1; i >= hi; i-- {
-		win.access(syms[i])
+	win.Reset(wmax, maxSym)
+	for i := st.warm.After(syms, hi, wmax) - 1; i >= hi; i-- {
+		win.Access(syms[i])
 	}
 	for i := hi - 1; i >= lo; i-- {
 		if i&cancelCheckMask == 0 {
@@ -430,48 +436,16 @@ func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym in
 			}
 		}
 		cur := syms[i]
-		win.access(cur)
+		win.Access(cur)
 		if st.lists.heads[cur].n == 0 {
 			continue
 		}
 		// Window entry 0 is cur itself.
-		back, fwd := st.partnerSym[st.offsets[i-lo]:st.offsets[i-lo+1]], win.syms[1:]
+		back, fwd := st.partnerSym[st.offsets[i-lo]:st.offsets[i-lo+1]], win.Syms()[1:]
 		st.mark(back, fwd)
 		st.cover(cur, back, fwd)
 	}
 	return nil
-}
-
-// warmBefore returns the largest p <= lo such that syms[p:lo] contains
-// need distinct symbols (or 0 if the prefix holds fewer). Replaying
-// syms[p:lo] into an empty LRU stack reproduces the full simulation's
-// top-need stack prefix at position lo: the need most recent distinct
-// symbols all have their last pre-lo occurrence in [p, lo), and their
-// relative recency order is preserved.
-//
-// The kernel uses the allocation-free shardState.warmBeforeScratch;
-// this map-based form is the test oracle for the shard-boundary cases.
-func warmBefore(syms []int32, lo, need int) int {
-	seen := make(map[int32]struct{}, need)
-	p := lo
-	for p > 0 && len(seen) < need {
-		p--
-		seen[syms[p]] = struct{}{}
-	}
-	return p
-}
-
-// warmAfter is warmBefore on the reversed trace: the smallest q >= hi
-// such that syms[hi:q] contains need distinct symbols (or len(syms) if
-// the suffix holds fewer).
-func warmAfter(syms []int32, hi, need int) int {
-	seen := make(map[int32]struct{}, need)
-	q := hi
-	for q < len(syms) && len(seen) < need {
-		seen[syms[q]] = struct{}{}
-		q++
-	}
-	return q
 }
 
 // newHierarchyShell prepares the hierarchy with the w=1 partition

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"codelayout/internal/flathash"
+	"codelayout/internal/stackdist"
 )
 
 // Arena recycles the analysis' internal buffers across BuildHierarchy
@@ -77,8 +78,10 @@ func (a *Arena) putMinW(t *flathash.Sum64) {
 // passes. All buffers grow to the trace's alphabet and window bounds and
 // then stay allocation-free across reuses.
 type shardState struct {
-	// win is the top wmax of the pass's LRU stack.
-	win window
+	// win is the top wmax of the pass's LRU stack, and warm finds the
+	// spans that warm it at the shard's two edges.
+	win  stackdist.Window
+	warm stackdist.Distinct
 
 	// partnerSym and offsets record the forward pass: partners of the
 	// occurrence at position lo+i live in partnerSym[offsets[i]:
@@ -116,7 +119,7 @@ func (st *shardState) prepare(maxSym int32, wmax int) {
 	} else {
 		st.sd = st.sd[:n]
 	}
-	st.win.reset(wmax)
+	st.warm.Grow(maxSym)
 	st.lists.reset(n)
 }
 
@@ -198,75 +201,6 @@ func (st *shardState) narrow(list []cand) int32 {
 		}
 	}
 	return int32(len(kept))
-}
-
-// warmBeforeScratch is warmBefore using the epoch scratch instead of a
-// per-call map, so pooled shards warm up without allocating.
-func (st *shardState) warmBeforeScratch(syms []int32, lo, need int) int {
-	st.bumpEpoch()
-	e := int64(st.epoch) << 32
-	count := 0
-	p := lo
-	for p > 0 && count < need {
-		p--
-		s := syms[p]
-		if st.sd[s]&^depthMask != e {
-			st.sd[s] = e
-			count++
-		}
-	}
-	return p
-}
-
-// warmAfterScratch is warmAfter on the epoch scratch.
-func (st *shardState) warmAfterScratch(syms []int32, hi, need int) int {
-	st.bumpEpoch()
-	e := int64(st.epoch) << 32
-	count := 0
-	q := hi
-	for q < len(syms) && count < need {
-		s := syms[q]
-		if st.sd[s]&^depthMask != e {
-			st.sd[s] = e
-			count++
-		}
-		q++
-	}
-	return q
-}
-
-// window is the top of an LRU stack, most recent first, holding at most
-// k symbols (its capacity). After an access, the top k of an LRU stack
-// are the accessed symbol followed by the previous top k without it,
-// truncated to k, so the window follows the full stack's top k exactly
-// while holding only k symbols, and reading it is reading a slice.
-type window struct {
-	syms []int32
-}
-
-// reset empties the window and sets its size to k >= 1.
-func (w *window) reset(k int) {
-	if cap(w.syms) < k {
-		w.syms = make([]int32, 0, k)
-	}
-	w.syms = w.syms[:0:k]
-}
-
-// access moves s to the top: one pass carries each entry down a place
-// until it reaches s's old place, or the bottom, where the old bottom
-// entry stays only if the window has room for it.
-func (w *window) access(s int32) {
-	syms := w.syms
-	carry := s
-	for i := range syms {
-		carry, syms[i] = syms[i], carry
-		if carry == s {
-			return
-		}
-	}
-	if len(syms) < cap(syms) {
-		w.syms = append(syms, carry)
-	}
 }
 
 // candLists holds one candidate list per symbol: the partners found

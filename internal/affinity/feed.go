@@ -7,6 +7,7 @@ import (
 	"codelayout/internal/flathash"
 	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
+	"codelayout/internal/stackdist"
 )
 
 // Feeder runs the stack-simulation analysis incrementally, over a trace
@@ -25,11 +26,11 @@ import (
 // the body reaches the shard span, the cut position is remembered and
 // the shard is dispatched as soon as wmax distinct symbols have arrived
 // past it (the forward warm-up the backward pass needs); the slab then
-// shrinks to warmBefore(cut) onward. A shard takes its working state
-// from the arena when it starts, folds its lists into the feeder's one
-// accumulator the moment it finishes, and hands the state straight
-// back. In-flight memory is therefore bounded by the shard span, the
-// warm spans, the FeedPool's 2×workers in-flight cap and the
+// shrinks to the warm-up span before the cut onward. A shard takes its
+// working state from the arena when it starts, folds its lists into the
+// feeder's one accumulator the moment it finishes, and hands the state
+// straight back. In-flight memory is therefore bounded by the shard
+// span, the warm spans, the FeedPool's 2×workers in-flight cap and the
 // accumulator (at most 2·(wmax−1) candidates per symbol) — not by the
 // trace length. On low-diversity tails (fewer than wmax distinct symbols
 // ever arriving after a cut) the pending shard is held until Finish,
@@ -53,10 +54,9 @@ type Feeder struct {
 	occCount []int64
 	order    []int32 // symbols in first-occurrence order
 
-	// seen is the epoch-stamped distinct-symbol scratch shared by the
-	// pending-cut wait counter and the warm-start scan (never both live).
-	seen      []int64
-	seenEpoch int64
+	// seen is the distinct-symbol set shared by the pending-cut wait
+	// counter and the warm-up scan at a cut (never both live).
+	seen      stackdist.Distinct
 	pendingHi int // local cut index awaiting wmax distinct arrivals; -1 none
 	distinct  int
 
@@ -112,9 +112,7 @@ func (f *Feeder) grow(s int32) {
 	occCount := make([]int64, n)
 	copy(occCount, f.occCount)
 	f.occCount = occCount
-	seen := make([]int64, n)
-	copy(seen, f.seen)
-	f.seen = seen
+	f.seen.Grow(int32(n - 1))
 }
 
 // Feed appends one chunk of the trace. Chunk boundaries are irrelevant:
@@ -144,8 +142,7 @@ func (f *Feeder) Feed(chunk []int32) error {
 		if f.pendingHi >= 0 {
 			// A cut is waiting for its forward warm span: wmax distinct
 			// symbols past the cut pin down the backward pass's stack.
-			if f.seen[s] != f.seenEpoch {
-				f.seen[s] = f.seenEpoch
+			if f.seen.Add(s) {
 				f.distinct++
 				if f.distinct >= f.wmax {
 					if err := f.dispatch(f.pendingHi); err != nil {
@@ -155,7 +152,7 @@ func (f *Feeder) Feed(chunk []int32) error {
 				}
 			}
 		} else if len(f.slab)-f.body >= f.shardTarget {
-			f.seenEpoch++
+			f.seen.Clear()
 			f.distinct = 0
 			f.pendingHi = len(f.slab)
 		}
@@ -185,24 +182,6 @@ func (f *Feeder) feedResident(syms []int32, workers int) {
 // trace length the analysis sees, matching the input's Trimmed().Len().
 func (f *Feeder) N() int { return f.n }
 
-// warmStart is warmBefore over the slab using the feeder's stamps: the
-// largest p such that slab[p:hi] holds wmax distinct symbols, or 0. The
-// slab-start invariant (each slab begins at a warmBefore cut or at the
-// trace start) makes the slab-local scan agree with the full-trace one.
-func (f *Feeder) warmStart(hi int) int {
-	f.seenEpoch++
-	count, p := 0, hi
-	for p > 0 && count < f.wmax {
-		p--
-		s := f.slab[p]
-		if f.seen[s] != f.seenEpoch {
-			f.seen[s] = f.seenEpoch
-			count++
-		}
-	}
-	return p
-}
-
 func (f *Feeder) getSlab(capHint int) []int32 {
 	if v := f.slabPool.Get(); v != nil {
 		return (*v.(*[]int32))[:0]
@@ -217,8 +196,11 @@ func (f *Feeder) putSlab(s []int32) {
 // dispatch freezes the current slab, hands shard [f.body, hi) to the
 // pool, and starts a fresh slab at the shard's own warm-up boundary so
 // the next shard warms up exactly as the full-trace simulation would.
+// The slab-start invariant (each slab begins at such a boundary or at
+// the trace start) makes the slab-local scan agree with the full-trace
+// one.
 func (f *Feeder) dispatch(hi int) error {
-	lo, p := f.body, f.warmStart(hi)
+	lo, p := f.body, f.seen.Before(f.slab, hi, f.wmax)
 	slab := f.slab
 	next := append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
 	err := f.submit(slab, lo, hi, true)
@@ -260,6 +242,11 @@ func (f *Feeder) submit(slab []int32, lo, hi int, owned bool) error {
 func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
+	return f.finish(sp)
+}
+
+// finish is Finish inside a span the caller opened and ends.
+func (f *Feeder) finish(sp obs.Span) (*Hierarchy, error) {
 	sp.SetAttr("trace_len", int64(f.n))
 	sp.SetAttr("wmax", int64(f.wmax))
 	minW, err := f.minWindows()

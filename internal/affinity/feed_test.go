@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 )
 
@@ -307,4 +308,50 @@ func feedBench(b *testing.B, tr *trace.Trace, opt Options) *Hierarchy {
 		b.Fatal(err)
 	}
 	return h
+}
+
+// TestHierarchySpanTimesStackPasses: BuildHierarchyCtx's
+// affinity.hierarchy span covers the whole buffered build, stack passes
+// included, and a Feeder's Finish records the span too. Over 200,000
+// occurrences of 64 symbols the passes outweigh the level merge many
+// times, so a span opened only after them would start later than it
+// lasts; this one starts as the build does (the recorder's epoch is
+// taken just before the call).
+func TestHierarchySpanTimesStackPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	syms := make([]int32, 200000)
+	for i := range syms {
+		syms[i] = int32(rng.Intn(64))
+	}
+	tr := trace.New(syms)
+	hierarchySpan := func(rec *obs.Recorder) obs.SpanData {
+		t.Helper()
+		spans, _ := rec.Snapshot()
+		if len(spans) != 1 || spans[0].Name != "affinity.hierarchy" {
+			t.Fatalf("spans = %+v, want one affinity.hierarchy", spans)
+		}
+		if a := spans[0].Attrs[0]; a.Key != "trace_len" || a.Value != int64(tr.Trimmed().Len()) {
+			t.Fatalf("first attribute %+v, want trace_len %d", a, tr.Trimmed().Len())
+		}
+		return spans[0]
+	}
+
+	rec := obs.NewRecorder(0)
+	if _, err := BuildHierarchyCtx(obs.WithRecorder(context.Background(), rec), tr, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if sp := hierarchySpan(rec); sp.Start >= sp.Dur {
+		t.Errorf("buffered span starts %v into the build and lasts %v: it misses the stack passes", sp.Start, sp.Dur)
+	}
+
+	rec = obs.NewRecorder(0)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	f := NewFeeder(ctx, Options{Workers: 1})
+	if err := f.Feed(syms); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hierarchySpan(rec)
 }

@@ -82,30 +82,3 @@ func TestParallelMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmupBounds exercises the warm-up helpers directly on corner
-// cases: empty prefixes/suffixes and traces with fewer distinct symbols
-// than requested.
-func TestWarmupBounds(t *testing.T) {
-	syms := []int32{0, 1, 0, 1, 2, 3}
-	if got := warmBefore(syms, 0, 4); got != 0 {
-		t.Errorf("warmBefore at 0 = %d, want 0", got)
-	}
-	if got := warmBefore(syms, 6, 2); got != 4 {
-		// [4,6) = {2,3}: two distinct.
-		t.Errorf("warmBefore(6, 2) = %d, want 4", got)
-	}
-	if got := warmBefore(syms, 4, 10); got != 0 {
-		t.Errorf("warmBefore with excess need = %d, want 0", got)
-	}
-	if got := warmAfter(syms, 6, 3); got != 6 {
-		t.Errorf("warmAfter at end = %d, want 6", got)
-	}
-	if got := warmAfter(syms, 0, 2); got != 2 {
-		// [0,2) = {0,1}: two distinct.
-		t.Errorf("warmAfter(0, 2) = %d, want 2", got)
-	}
-	if got := warmAfter(syms, 2, 10); got != 6 {
-		t.Errorf("warmAfter with excess need = %d, want 6", got)
-	}
-}

@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,79 +9,29 @@ import (
 	"codelayout/internal/trace"
 )
 
-// TestWarmScratchMatchesMapOracle checks the allocation-free epoch-scratch
-// warm-up helpers against the map-based oracles at every position of
-// several trace shapes, including need values far beyond the alphabet.
-func TestWarmScratchMatchesMapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	shapes := [][]int32{
-		{},           // empty trace
-		{7},          // single occurrence
-		{5, 5, 5, 5}, // single symbol repeated
-		{0, 1, 2, 3, // strictly increasing: every warm-up hits distinct syms
-			4, 5, 6, 7},
-		func() []int32 { // random with repeats
-			s := make([]int32, 61)
-			for i := range s {
-				s[i] = int32(rng.Intn(6))
-			}
-			return s
-		}(),
-	}
-	st := &shardState{}
-	for si, syms := range shapes {
-		var maxSym int32 = -1
-		for _, s := range syms {
-			if s > maxSym {
-				maxSym = s
-			}
+// TestMergeScratchEpochWrap forces the merge scratch's int32 epoch
+// through its wrap-around re-zeroing on a state whose scratch still
+// holds the stamps of an earlier shard: the shard's candidate lists
+// must equal a fresh state's, so no stale stamp aliases a new epoch.
+func TestMergeScratchEpochWrap(t *testing.T) {
+	tt := zeroAllocTrace().Trimmed()
+	const wmax = 8
+	run := func(st *shardState) [][]cand {
+		if err := shardPairHists(context.Background(), st, tt.Syms, tt.MaxSym(), wmax, 0, len(tt.Syms)); err != nil {
+			t.Fatal(err)
 		}
-		st.prepare(maxSym, 2)
-		for _, need := range []int{0, 1, 2, 5, len(syms) + 3} {
-			for pos := 0; pos <= len(syms); pos++ {
-				if got, want := st.warmBeforeScratch(syms, pos, need), warmBefore(syms, pos, need); got != want {
-					t.Fatalf("shape %d: warmBeforeScratch(%d, %d) = %d, oracle %d", si, pos, need, got, want)
-				}
-				if got, want := st.warmAfterScratch(syms, pos, need), warmAfter(syms, pos, need); got != want {
-					t.Fatalf("shape %d: warmAfterScratch(%d, %d) = %d, oracle %d", si, pos, need, got, want)
-				}
-			}
+		lists := make([][]cand, len(st.lists.heads))
+		for s := range lists {
+			lists[s] = st.lists.list(int32(s))
 		}
+		return lists
 	}
-}
-
-// TestWarmScratchEpochIsolation verifies consecutive warm-ups on one
-// pooled shard don't leak "seen" marks into each other: a warm-up that
-// touched symbol s must not make a later warm-up skip s.
-func TestWarmScratchEpochIsolation(t *testing.T) {
-	syms := []int32{4, 4, 4, 4, 4, 4}
+	want := run(&shardState{})
 	st := &shardState{}
-	st.prepare(4, 2)
-	// First call marks symbol 4 in its epoch.
-	if got := st.warmBeforeScratch(syms, 6, 1); got != 5 {
-		t.Fatalf("first warmBeforeScratch = %d, want 5", got)
-	}
-	// A later call must count symbol 4 afresh, not see the stale mark and
-	// walk to position 0.
-	if got := st.warmBeforeScratch(syms, 6, 1); got != 5 {
-		t.Fatalf("second warmBeforeScratch = %d, want 5 (stale epoch mark leaked)", got)
-	}
-	if got := st.warmAfterScratch(syms, 0, 1); got != 1 {
-		t.Fatalf("warmAfterScratch after warmBeforeScratch = %d, want 1", got)
-	}
-}
-
-// TestWarmScratchEpochWrap forces the int32 epoch counter through its
-// wrap-around re-zeroing and checks warm-ups still match the oracle.
-func TestWarmScratchEpochWrap(t *testing.T) {
-	syms := []int32{0, 1, 2, 0, 1, 2}
-	st := &shardState{}
-	st.prepare(2, 2)
-	st.epoch = 1<<31 - 2 // next two bumps cross the wrap
-	for i := 0; i < 3; i++ {
-		if got, want := st.warmBeforeScratch(syms, 6, 3), warmBefore(syms, 6, 3); got != want {
-			t.Fatalf("bump %d: warmBeforeScratch = %d, oracle %d", i, got, want)
-		}
+	run(st)
+	st.epoch = 1<<31 - 2 // the shard's first occurrences cross the wrap
+	if got := run(st); !reflect.DeepEqual(got, want) {
+		t.Fatal("candidate lists after the epoch wrap differ from a fresh state's")
 	}
 	if st.epoch <= 0 {
 		t.Fatalf("epoch = %d, want positive after wrap", st.epoch)
@@ -119,7 +70,7 @@ func TestShardBoundaryShortTraces(t *testing.T) {
 
 // TestShardBoundaryWarmupSpansWholeTrace picks wmax larger than the
 // alphabet so every shard's warm-up wants more distinct symbols than
-// exist: warmBefore must clamp to 0 and warmAfter to len(syms), and the
+// exist: the warm-up spans must clamp to 0 and to len(syms), and the
 // sharded result must still match serial and the naive oracle.
 func TestShardBoundaryWarmupSpansWholeTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))

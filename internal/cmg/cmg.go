@@ -31,13 +31,14 @@ import (
 // windowBlocks bounds the liveness window in distinct code blocks (use
 // the same 2C-derived bound as the TRG); 0 means unbounded.
 //
-// The construction walks the trimmed trace with an LRU stack. When
-// block A is re-accessed within the window, each distinct block X
-// interleaved since A's previous occurrence contributes conflict
-// weight; unlike the TRG, a consecutive run of re-accesses between the
-// same pair adds at most 2 per alternation (the worst-case misses of a
-// same-set pair), implemented by counting each (A, X) alternation once
-// per direction change rather than once per interleaved occurrence.
+// The construction walks the trimmed trace with the top of an LRU
+// stack, as deep as the window (stackdist.Window). When block A is
+// re-accessed within the window, each distinct block X interleaved
+// since A's previous occurrence contributes conflict weight; unlike
+// the TRG, a consecutive run of re-accesses between the same pair adds
+// at most 2 per alternation (the worst-case misses of a same-set pair),
+// implemented by counting each (A, X) alternation once per direction
+// change rather than once per interleaved occurrence.
 func Build(t *trace.Trace, windowBlocks int) *trg.Graph {
 	tt := t.Trimmed()
 	g := trg.NewGraph()
@@ -49,22 +50,20 @@ func Build(t *trace.Trace, windowBlocks int) *trg.Graph {
 	if limit <= 0 {
 		limit = int(maxSym) + 1
 	}
-	stack := stackdist.NewLRUStack(maxSym)
+	var win stackdist.Window
+	win.Reset(limit, maxSym)
 	// lastDir remembers, per pair, which side was accessed last when
 	// weight was added, so a strict alternation A X A X adds weight once
 	// per direction change. Stored as symbol+1 in a flat table (0 is the
 	// table's absent value).
 	lastDir := &flathash.Sum64{}
-	scratch := make([]int32, 0, limit)
 
 	for _, cur := range tt.Syms {
 		g.AddNode(cur)
-		// Snapshot the stack prefix above cur's previous occurrence: the
-		// blocks interleaved since it.
-		between, found := stack.AppendTopKUntil(scratch[:0], limit, cur)
-		scratch = between[:0]
-		if found {
-			for _, x := range between {
+		// The blocks above cur's previous occurrence are the blocks
+		// interleaved since it.
+		if d := win.Access(cur); d > 0 {
+			for _, x := range win.Syms()[1 : d+1] {
 				key := pairKey(cur, x)
 				// Worst-case conflict: a same-set pair can lose at most
 				// two lines per *completed alternation* (cur evicted x,
@@ -74,13 +73,12 @@ func Build(t *trace.Trace, windowBlocks int) *trg.Graph {
 				// another's reuses therefore carries no worst-case
 				// conflict — the key difference from the TRG, which
 				// counts every interleaving.
-				if d := lastDir.Get(key); d != 0 && d != int64(cur)+1 {
+				if last := lastDir.Get(key); last != 0 && last != int64(cur)+1 {
 					g.AddWeight(cur, x, 2)
 				}
 				lastDir.Set(key, int64(cur)+1)
 			}
 		}
-		stack.Access(cur)
 	}
 	return g
 }

@@ -312,19 +312,14 @@ func (o Optimizer) OptimizeCtx(ctx context.Context, prof *Profile) (*layout.Layo
 		}
 		seq = h.Sequence()
 	case ModelTRG:
-		params := trg.DefaultParams(o.trgBlockBytes())
-		params.WindowScale = o.TRGWindowScale
-		params.Workers = o.Workers
 		var err error
-		seq, err = trg.SequenceCtx(ctx, pruned, params, o.Arena.trgArena())
+		seq, err = trg.SequenceCtx(ctx, pruned, o.trgParams(), o.Arena.trgArena())
 		if err != nil {
 			return nil, rep, fmt.Errorf("core: %s analysis: %w", o.Name(), err)
 		}
 	case ModelCMG:
-		params := trg.DefaultParams(o.trgBlockBytes())
-		params.WindowScale = o.TRGWindowScale
 		csp := obs.StartSpan(ctx, "cmg.sequence")
-		seq = cmg.Sequence(pruned, params)
+		seq = cmg.Sequence(pruned, o.trgParams())
 		csp.End()
 	case ModelCallGraph:
 		if o.Gran != GranFunction {
@@ -363,6 +358,19 @@ func (o Optimizer) emitLayout(ctx context.Context, prog *ir.Program, seq []int32
 	esp := obs.StartSpan(ctx, "layout.emit")
 	esp.SetAttr("seq_len", int64(len(seq)))
 	defer esp.End()
+	l, err := o.layoutOf(prog, seq)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s produced invalid layout: %w", o.Name(), err)
+	}
+	rep.JumpOverheadBytes = l.JumpOverheadBytes()
+	return l, nil
+}
+
+// layoutOf turns a code sequence into a validated layout at the
+// optimizer's granularity (function order, or block order with or
+// without the intra restriction): the one sequence-to-layout step of
+// emitLayout and LayoutFromSequence.
+func (o Optimizer) layoutOf(prog *ir.Program, seq []int32) (*layout.Layout, error) {
 	var l *layout.Layout
 	switch o.Gran {
 	case GranFunction:
@@ -381,19 +389,16 @@ func (o Optimizer) emitLayout(ctx context.Context, prog *ir.Program, seq []int32
 		} else {
 			l = layout.ReorderBlocks(prog, order)
 		}
+	default:
+		return nil, fmt.Errorf("core: unknown granularity %v", o.Gran)
 	}
-	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %s produced invalid layout: %w", o.Name(), err)
-	}
-	rep.JumpOverheadBytes = l.JumpOverheadBytes()
-	return l, nil
+	return l, l.Validate()
 }
 
 // searchSequence runs the Petrank-Rawitz-wall local search: TRG-weighted
 // conflict cost, seeded from the affinity order.
 func searchSequence(ctx context.Context, o Optimizer, prof *Profile, pruned *trace.Trace) ([]int32, error) {
-	params := trg.DefaultParams(o.trgBlockBytes())
-	params.WindowScale = o.TRGWindowScale
+	params := o.trgParams()
 	g, err := trg.BuildCtx(ctx, pruned, params.WindowBlocks(), o.Workers, o.Arena.trgArena())
 	if err != nil {
 		return nil, err
@@ -423,14 +428,22 @@ func searchSequence(ctx context.Context, o Optimizer, prof *Profile, pruned *tra
 	return out, nil
 }
 
-func (o Optimizer) trgBlockBytes() int {
-	if o.TRGBlockBytes != 0 {
-		return o.TRGBlockBytes
+// trgParams is the TRG model's configuration for this optimizer: the
+// paper's cache, TRGBlockBytes as the uniform block size (by default
+// 512 bytes per function and 64 per basic block), TRGWindowScale and
+// Workers. The CMG and the layout search take the same geometry.
+func (o Optimizer) trgParams() trg.Params {
+	block := o.TRGBlockBytes
+	if block == 0 {
+		block = 64
+		if o.Gran == GranFunction {
+			block = 512
+		}
 	}
-	if o.Gran == GranFunction {
-		return 512
-	}
-	return 64
+	p := trg.DefaultParams(block)
+	p.WindowScale = o.TRGWindowScale
+	p.Workers = o.Workers
+	return p
 }
 
 // LayoutFromSequence rebuilds the layout a cached Report describes: the
@@ -446,28 +459,8 @@ func LayoutFromSequence(p *ir.Program, optName string, seq []int32) (*layout.Lay
 	if err != nil {
 		return nil, err
 	}
-	var l *layout.Layout
-	switch o.Gran {
-	case GranFunction:
-		order := make([]ir.FuncID, len(seq))
-		for i, s := range seq {
-			order[i] = ir.FuncID(s)
-		}
-		l = layout.ReorderFunctions(p, order)
-	case GranBasicBlock:
-		order := make([]ir.BlockID, len(seq))
-		for i, s := range seq {
-			order[i] = ir.BlockID(s)
-		}
-		if o.Intra {
-			l = layout.ReorderBlocksIntra(p, order)
-		} else {
-			l = layout.ReorderBlocks(p, order)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown granularity %v", o.Gran)
-	}
-	if err := l.Validate(); err != nil {
+	l, err := o.layoutOf(p, seq)
+	if err != nil {
 		return nil, fmt.Errorf("core: sequence for %s does not fit %s: %w", optName, p.Name, err)
 	}
 	return l, nil

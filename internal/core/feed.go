@@ -89,9 +89,7 @@ func (o Optimizer) NewFeed(ctx context.Context, prog *ir.Program) (*Feed, error)
 			FeedShardSpan: o.FeedShardSpan,
 		})
 	case ModelTRG:
-		f.trgP = trg.DefaultParams(o.trgBlockBytes())
-		f.trgP.WindowScale = o.TRGWindowScale
-		f.trgP.Workers = o.Workers
+		f.trgP = o.trgParams()
 		f.trgF = trg.NewFeeder(ctx, f.trgP.WindowBlocks(), o.Workers, o.FeedShardSpan, o.Arena.trgArena())
 	}
 	return f, nil

@@ -203,6 +203,11 @@ func (j *Job) claim(cached bool) (jobView, int64, bool) {
 func (j *Job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+// viewLocked is view with j.mu held.
+func (j *Job) viewLocked() jobView {
 	return jobView{
 		ID:       j.id,
 		Kind:     j.kind,
@@ -294,21 +299,25 @@ func (j *Job) tryStart() bool {
 // startCancel moves the job from the given status (queued, or running
 // for a cancelable kind) to canceling and fires its context. A queued
 // job so claimed is never started by a worker; the caller finishes it.
-// It reports false — without changing anything — when the job is in
-// any other status (the DELETE handler's 409).
-func (j *Job) startCancel(from string) bool {
+// It returns the job's view at the transition, taken before the context
+// fires, so a worker that settles the job at once cannot turn the
+// DELETE's answer into its own terminal status. It reports false —
+// without changing anything — when the job is in any other status (the
+// DELETE handler's 409).
+func (j *Job) startCancel(from string) (jobView, bool) {
 	j.mu.Lock()
 	if j.status != from {
 		j.mu.Unlock()
-		return false
+		return jobView{}, false
 	}
 	j.status = StatusCanceling
+	v := j.viewLocked()
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	return true
+	return v, true
 }
 
 // statusNow returns the current status string.

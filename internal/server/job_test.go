@@ -166,3 +166,26 @@ func TestTerminalStatusIsFinal(t *testing.T) {
 		t.Errorf("jobs_failed_total = %d, want 0", n)
 	}
 }
+
+// TestCancelAnswersCanceling: the DELETE of a running cancelable job
+// answers with the job as it was at the running → canceling transition,
+// even when the worker settles the job the moment its context fires.
+// Here the job's cancel func settles it synchronously, the worst case
+// of that race.
+func TestCancelAnswersCanceling(t *testing.T) {
+	j := &Job{id: "job-corun", kind: jobKindCorun, status: StatusRunning}
+	j.cancel = func() { j.settle(StatusCanceled, nil, errors.New("canceled"), time.Now()) }
+	v, ok := j.startCancel(StatusRunning)
+	if !ok {
+		t.Fatal("startCancel refused a running job")
+	}
+	if v.Status != StatusCanceling {
+		t.Errorf("view at cancel = %q, want canceling", v.Status)
+	}
+	if got := j.statusNow(); got != StatusCanceled {
+		t.Errorf("status after the worker settled = %q, want canceled", got)
+	}
+	if _, ok := j.startCancel(StatusRunning); ok {
+		t.Error("startCancel accepted a settled job")
+	}
+}

@@ -817,16 +817,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	if j.startCancel(StatusQueued) {
+	if _, ok := j.startCancel(StatusQueued); ok {
 		s.finish(j, StatusCanceled, nil, errors.New("canceled before running"))
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
-	if (j.kind == jobKindCorun || j.kind == jobKindSchedule) && j.startCancel(StatusRunning) {
-		// The worker observes the fired context and finishes the job as
-		// canceled; the client polls GET /v1/jobs/{id}.
-		writeJSON(w, http.StatusAccepted, j.view())
-		return
+	if j.kind == jobKindCorun || j.kind == jobKindSchedule {
+		if v, ok := j.startCancel(StatusRunning); ok {
+			// The worker observes the fired context and finishes the job
+			// as canceled; the client polls GET /v1/jobs/{id}. The answer
+			// is the canceling view, whatever the worker has done since.
+			writeJSON(w, http.StatusAccepted, v)
+			return
+		}
 	}
 	httpError(w, http.StatusConflict,
 		fmt.Errorf("job %s is %s; only queued jobs (or running corun/schedule jobs) can be canceled", id, j.statusNow()))

@@ -9,8 +9,8 @@ import (
 
 func TestLRUStackBasic(t *testing.T) {
 	s := NewLRUStack(10)
-	if s.Len() != 0 || s.Top() != -1 {
-		t.Fatal("new stack not empty")
+	if got := s.AppendTopK(nil, 10); len(got) != 0 {
+		t.Fatalf("new stack holds %v", got)
 	}
 	if !s.Access(3) {
 		t.Error("first access to 3 not reported as first")
@@ -20,28 +20,12 @@ func TestLRUStackBasic(t *testing.T) {
 	}
 	s.Access(5)
 	s.Access(7)
-	// Stack top-down: 7 5 3.
-	if got := s.Top(); got != 7 {
-		t.Errorf("Top = %d, want 7", got)
+	if got := s.AppendTopK(nil, 10); !reflect.DeepEqual(got, []int32{7, 5, 3}) {
+		t.Errorf("stack = %v, want [7 5 3]", got)
 	}
-	if got := s.DepthOf(3); got != 3 {
-		t.Errorf("DepthOf(3) = %d, want 3", got)
-	}
-	if got := s.DepthOf(9); got != -1 {
-		t.Errorf("DepthOf(unseen) = %d, want -1", got)
-	}
-	s.Access(3) // 3 7 5
-	if got := s.DepthOf(3); got != 1 {
-		t.Errorf("after reaccess DepthOf(3) = %d, want 1", got)
-	}
-	if got := s.DepthOf(5); got != 3 {
-		t.Errorf("DepthOf(5) = %d, want 3", got)
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
-	}
-	if !s.Contains(5) || s.Contains(0) {
-		t.Error("Contains wrong")
+	s.Access(3)
+	if got := s.AppendTopK(nil, 10); !reflect.DeepEqual(got, []int32{3, 7, 5}) {
+		t.Errorf("after reaccess stack = %v, want [3 7 5]", got)
 	}
 }
 
@@ -50,22 +34,19 @@ func TestLRUStackTopK(t *testing.T) {
 	for _, sym := range []int32{1, 2, 3, 4} {
 		s.Access(sym)
 	}
-	var got []int32
-	s.TopK(3, func(sym int32) bool { got = append(got, sym); return true })
-	if !reflect.DeepEqual(got, []int32{4, 3, 2}) {
-		t.Errorf("TopK(3) = %v, want [4 3 2]", got)
+	if got := s.AppendTopK(nil, 3); !reflect.DeepEqual(got, []int32{4, 3, 2}) {
+		t.Errorf("AppendTopK(3) = %v, want [4 3 2]", got)
 	}
-	// Early stop.
-	got = nil
-	s.TopK(10, func(sym int32) bool { got = append(got, sym); return len(got) < 2 })
-	if len(got) != 2 {
-		t.Errorf("TopK early stop visited %d, want 2", len(got))
+	// k larger than stack appends everything, after what dst holds.
+	if got := s.AppendTopK([]int32{9}, 100); !reflect.DeepEqual(got, []int32{9, 4, 3, 2, 1}) {
+		t.Errorf("AppendTopK(100) = %v", got)
 	}
-	// k larger than stack visits everything.
-	got = nil
-	s.TopK(100, func(sym int32) bool { got = append(got, sym); return true })
-	if !reflect.DeepEqual(got, []int32{4, 3, 2, 1}) {
-		t.Errorf("TopK(100) = %v", got)
+	between, found := s.AppendTopKUntil(nil, 10, 2)
+	if !found || !reflect.DeepEqual(between, []int32{4, 3}) {
+		t.Errorf("AppendTopKUntil(stop 2) = %v, %v; want [4 3], true", between, found)
+	}
+	if between, found = s.AppendTopKUntil(nil, 2, 2); found || !reflect.DeepEqual(between, []int32{4, 3}) {
+		t.Errorf("AppendTopKUntil(k 2, stop 2) = %v, %v; want [4 3], false", between, found)
 	}
 }
 
@@ -95,12 +76,7 @@ func TestLRUStackMatchesOracle(t *testing.T) {
 		if gotFirst != wantFirst {
 			t.Fatalf("step %d: first = %v, want %v", i, gotFirst, wantFirst)
 		}
-		if s.Len() != len(o.s) {
-			t.Fatalf("step %d: Len = %d, want %d", i, s.Len(), len(o.s))
-		}
-		var got []int32
-		s.TopK(len(o.s), func(sym int32) bool { got = append(got, sym); return true })
-		if !reflect.DeepEqual(got, o.s) {
+		if got := s.AppendTopK(nil, len(o.s)+1); !reflect.DeepEqual(got, o.s) {
 			t.Fatalf("step %d: stack %v, want %v", i, got, o.s)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"codelayout/internal/parallel"
+	"codelayout/internal/stackdist"
 )
 
 // defaultFeedShardSpan is the streamed shard span when the caller leaves
@@ -49,8 +50,7 @@ type Feeder struct {
 	known  []bool  // symbols accepted so far
 	order  []int32 // symbols in first-occurrence order
 
-	seen      []int64 // epoch stamps for the warm-start scan
-	seenEpoch int64
+	seen stackdist.Distinct // the warm-up scan at a cut
 
 	mu sync.Mutex // guards g, which the pool's workers fold into
 	g  *Graph     // the rows of every shard finished so far; nil before the first
@@ -100,15 +100,9 @@ func (f *Feeder) Feed(chunk []int32) error {
 			continue // trimming, as BuildCtx does up front
 		}
 		f.prev = s
-		if int(s) >= len(f.seen) {
-			n := int(s) + 1
-			if c := 2 * len(f.seen); n < c {
-				n = c
-			}
-			seen := make([]int64, n)
-			copy(seen, f.seen)
-			f.seen = seen
-			f.known = append(f.known, make([]bool, n-len(f.known))...)
+		if int(s) >= len(f.known) {
+			f.known = append(f.known, make([]bool, int(s)+1-len(f.known))...)
+			f.seen.Grow(s)
 		}
 		if s > f.maxSym {
 			f.maxSym = s
@@ -160,24 +154,6 @@ func (f *Feeder) feedResident(syms []int32, workers int) {
 // Trimmed().Len().
 func (f *Feeder) N() int { return f.n }
 
-// warmStart is warmStart over the slab using the feeder's stamps: the
-// largest p such that slab[p:hi] holds limit distinct symbols, or 0.
-// The slab-start invariant (each slab begins at a warm-up cut or at the
-// trace start) makes the slab-local scan agree with the full-trace one.
-func (f *Feeder) warmStart(hi int) int {
-	f.seenEpoch++
-	count, p := 0, hi
-	for p > 0 && count < f.limit {
-		p--
-		s := f.slab[p]
-		if f.seen[s] != f.seenEpoch {
-			f.seen[s] = f.seenEpoch
-			count++
-		}
-	}
-	return p
-}
-
 func (f *Feeder) getSlab(capHint int) []int32 {
 	if v := f.slabPool.Get(); v != nil {
 		return (*v.(*[]int32))[:0]
@@ -190,9 +166,11 @@ func (f *Feeder) putSlab(s []int32) {
 }
 
 // dispatch freezes the current slab, hands shard [f.body, hi) to the
-// pool, and starts a fresh slab at the shard's warm-up boundary.
+// pool, and starts a fresh slab at the shard's warm-up boundary. The
+// slab-start invariant (each slab begins at such a boundary or at the
+// trace start) makes the slab-local scan agree with the full-trace one.
 func (f *Feeder) dispatch(hi int) error {
-	lo, p := f.body, f.warmStart(hi)
+	lo, p := f.body, f.seen.Before(f.slab, hi, f.limit)
 	slab := f.slab
 	next := append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
 	err := f.submit(slab, lo, hi, true)

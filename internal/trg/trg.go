@@ -14,13 +14,14 @@
 // §9): each block has a row, a small open-addressed table counting its
 // interleavings per partner, so one access's updates stay in one
 // cache-resident row and an edge weighs the sum of its two directions;
-// the per-access interleaving scan snapshots the LRU stack prefix into a
-// reusable buffer instead of paying a callback per element; and an
-// optional Arena recycles all per-shard state across builds. The
-// reduction reads its adjacency and its edge order straight from the
-// rows. The construction has one shard/fold orchestration, the Feeder:
-// a streamed trace is cut into shards as it arrives, and BuildCtx hands
-// the Feeder a trace already in memory, whose shards it cuts in place.
+// the LRU stack is kept only as deep as the window, in a
+// stackdist.Window, whose access leaves the interleaved blocks in place
+// as a slice; and an optional Arena recycles all per-shard state across
+// builds. The reduction reads its adjacency and its edge order straight
+// from the rows. The construction has one shard/fold orchestration, the
+// Feeder: a streamed trace is cut into shards as it arrives, and
+// BuildCtx hands the Feeder a trace already in memory, whose shards it
+// cuts in place.
 package trg
 
 import (
@@ -168,8 +169,8 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Arena recycles the construction's working set — per-shard LRU stacks,
-// snapshot buffers, epoch scratch and partial graphs — across Build
+// Arena recycles the construction's working set — per-shard stack
+// windows, epoch scratch and partial graphs — across Build
 // calls, plus whole result graphs returned via PutGraph. The zero value
 // is ready to use and safe for concurrent use.
 type Arena struct {
@@ -215,45 +216,13 @@ func (a *Arena) PutGraph(g *Graph) {
 // buildState is the reusable working set of one shard's construction
 // pass.
 type buildState struct {
-	stack stackdist.LRUStack
-	// topk is the reusable interleaving-snapshot buffer.
-	topk []int32
-	// stamp/epoch is the warm-up's epoch-stamped distinct-symbol scratch.
-	stamp []int32
-	epoch int32
+	// win is the top of the pass's LRU stack, as deep as the window, and
+	// warm finds the span that warms it at the shard's start.
+	win  stackdist.Window
+	warm stackdist.Distinct
 	// g is the graph the shard builds into; nil once a Feeder's first
 	// fold has taken it, until the state runs its next shard.
 	g *Graph
-}
-
-// warmStartScratch is warmStart on the epoch scratch, so pooled shards
-// warm up without allocating.
-func (st *buildState) warmStartScratch(syms []int32, maxSym int32, lo, need int) int {
-	if n := int(maxSym) + 1; cap(st.stamp) < n {
-		st.stamp = make([]int32, n)
-		st.epoch = 0
-	} else {
-		st.stamp = st.stamp[:n]
-	}
-	st.epoch++
-	if st.epoch <= 0 {
-		full := st.stamp[:cap(st.stamp)]
-		for i := range full {
-			full[i] = 0
-		}
-		st.epoch = 1
-	}
-	count := 0
-	p := lo
-	for p > 0 && count < need {
-		p--
-		s := syms[p]
-		if st.stamp[s] != st.epoch {
-			st.stamp[s] = st.epoch
-			count++
-		}
-	}
-	return p
 }
 
 // Build constructs the TRG of a code trace. windowBlocks bounds the
@@ -261,8 +230,10 @@ func (st *buildState) warmStartScratch(syms []int32, maxSym int32, lo, need int)
 // window "2C" of §II-C divided by the uniform block size); 0 means
 // unbounded. At each access, if the block's previous occurrence lies
 // within the window, every distinct block interleaved between the two
-// occurrences receives one conflict count — the hash-table-plus-list
-// stack makes the search O(1) per step as the paper describes.
+// occurrences receives one conflict count. The stack is kept only as
+// deep as the window (stackdist.Window), so an access finds the block
+// and the blocks interleaved since its previous occurrence in at most
+// windowBlocks steps.
 //
 // Build uses every available core; the graph is identical to the serial
 // construction (see BuildWorkers).
@@ -281,8 +252,8 @@ func BuildWorkers(t *trace.Trace, windowBlocks, workers int) *Graph {
 // the Feeder run over the resident trimmed trace: the trace is cut in
 // place into one contiguous shard per worker (a single shard at Workers
 // 1, or when the trace is too short to split, or the window unbounded),
-// each shard warms a private LRU stack by replaying the span holding the
-// last windowBlocks distinct symbols before it, so its per-access
+// each shard warms a private stack window by replaying the span holding
+// the last windowBlocks distinct symbols before it, so its per-access
 // interleaving views equal the full-trace simulation, and the shard rows
 // add up (addition commutes) under the global first-occurrence node
 // order. The shards poll ctx, so a job deadline can interrupt a long
@@ -313,13 +284,14 @@ func addWeight(dst *int64, src int64) { *dst += src }
 const cancelCheckMask = 0x3FFF
 
 // buildShard accumulates the conflict counts of accesses [lo, hi) into
-// g, warming the LRU stack so the shard sees exactly the stack prefix
+// g, warming the stack window so the shard sees exactly the stack prefix
 // the full simulation would.
 func buildShard(ctx context.Context, st *buildState, g *Graph, syms []int32, maxSym int32, limit, lo, hi int) error {
-	st.stack.Reset(maxSym)
-	stack := &st.stack
-	for i := st.warmStartScratch(syms, maxSym, lo, limit); i < lo; i++ {
-		stack.Access(syms[i])
+	win := &st.win
+	win.Reset(limit, maxSym)
+	st.warm.Grow(maxSym)
+	for i := st.warm.Before(syms, lo, limit); i < lo; i++ {
+		win.Access(syms[i])
 	}
 	for i := lo; i < hi; i++ {
 		if i&cancelCheckMask == 0 {
@@ -329,38 +301,18 @@ func buildShard(ctx context.Context, st *buildState, g *Graph, syms []int32, max
 		}
 		cur := syms[i]
 		g.AddNode(cur)
-		// Snapshot the stack prefix above cur's previous occurrence: those
-		// are exactly the blocks interleaved between the two occurrences,
-		// and each counts once in cur's row. If cur is not within the
-		// window, the previous occurrence is too far away (or absent) and
-		// contributes nothing. Every interleaved block was accessed
-		// before cur, so it is already a node of this shard or of an
-		// earlier one.
-		between, found := stack.AppendTopKUntil(st.topk[:0], limit, cur)
-		st.topk = between[:0]
-		if found {
+		// The blocks above cur's previous occurrence are exactly the
+		// blocks interleaved between the two occurrences, and each counts
+		// once in cur's row. If cur is not within the window, the previous
+		// occurrence is too far away (or absent) and contributes nothing.
+		// Every interleaved block was accessed before cur, so it is
+		// already a node of this shard or of an earlier one.
+		if d := win.Access(cur); d > 0 {
 			row := g.rows.Cursor(cur)
-			for _, x := range between {
+			for _, x := range win.Syms()[1 : d+1] {
 				*row.Ref(x)++
 			}
 		}
-		stack.Access(cur)
 	}
 	return nil
-}
-
-// warmStart returns the largest p <= lo such that syms[p:lo] contains
-// need distinct symbols (or 0 if the prefix holds fewer): replaying
-// syms[p:lo] reproduces the full simulation's top-need stack prefix,
-// which is all the interleaving scan ever examines. The kernel uses the
-// allocation-free buildState.warmStartScratch; this map-based form is
-// the test oracle for the shard-boundary cases.
-func warmStart(syms []int32, lo, need int) int {
-	seen := make(map[int32]struct{}, need)
-	p := lo
-	for p > 0 && len(seen) < need {
-		p--
-		seen[syms[p]] = struct{}{}
-	}
-	return p
 }
