@@ -13,7 +13,8 @@ import (
 // SimulateSolo, on both the stub-free original layout and a reversed
 // layout carrying stubs and appended jumps (the stream's held-symbol
 // logic must agree with the buffered fall-through and stub rules at
-// every chunk boundary).
+// every chunk boundary), under every geometry the co-run oracle test
+// replays and at 4-byte lines.
 func TestSoloStreamMatchesSimulateSolo(t *testing.T) {
 	p := loopProgram(t, 320, 64, 30)
 	var rev []ir.BlockID
@@ -24,26 +25,37 @@ func TestSoloStreamMatchesSimulateSolo(t *testing.T) {
 		"original": layout.Original(p),
 		"reversed": layout.ReorderBlocks(p, rev),
 	}
+	geometries := []Config{
+		L1IDefault,
+		// 96 sets: not a power of two, so sets come from a modulus.
+		{SizeBytes: 24 << 10, Assoc: 4, LineBytes: 64},
+		{SizeBytes: 4 << 10, Assoc: 1, LineBytes: 64},   // direct-mapped
+		{SizeBytes: 32 << 10, Assoc: 16, LineBytes: 64}, // 16-way
+		{SizeBytes: 2 << 10, Assoc: 2, LineBytes: 32},   // small 2-way
+		{SizeBytes: 8 << 10, Assoc: 4, LineBytes: 4},    // a block spans 16 lines
+	}
 	tr := runTrace(t, p)
-	for name, l := range layouts {
-		want := SimulateSolo(L1IDefault, layout.NewReplayer(l, tr, L1IDefault.LineBytes, false))
-		if want.Blocks == 0 || want.Stats.Accesses == 0 {
-			t.Fatalf("%s: degenerate buffered result %+v", name, want)
-		}
-		for _, chunk := range []int{1, 37, 1024, tr.Len()} {
-			s := NewSoloStream(L1IDefault, l)
-			syms := tr.Syms
-			for len(syms) > 0 {
-				c := chunk
-				if c > len(syms) {
-					c = len(syms)
-				}
-				s.Feed(syms[:c])
-				syms = syms[c:]
+	for _, cfg := range geometries {
+		for name, l := range layouts {
+			want := SimulateSolo(cfg, layout.NewReplayer(l, tr, cfg.LineBytes, false))
+			if want.Blocks == 0 || want.Stats.Accesses == 0 {
+				t.Fatalf("%s %+v: degenerate buffered result %+v", name, cfg, want)
 			}
-			got := s.Finish()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s chunk=%d: streamed %+v != buffered %+v", name, chunk, got, want)
+			for _, chunk := range []int{1, 37, 1024, tr.Len()} {
+				s := NewSoloStream(cfg, l)
+				syms := tr.Syms
+				for len(syms) > 0 {
+					c := chunk
+					if c > len(syms) {
+						c = len(syms)
+					}
+					s.Feed(syms[:c])
+					syms = syms[c:]
+				}
+				got := s.Finish()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v chunk=%d: streamed %+v != buffered %+v", name, cfg, chunk, got, want)
+				}
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package layout
 
 import (
-	"fmt"
-	"math"
-
 	"codelayout/internal/ir"
 	"codelayout/internal/trace"
 )
@@ -334,10 +331,8 @@ type Lap struct {
 // as int32: it panics if the layout reaches past math.MaxInt32 lines
 // (2 GiB of code at 1-byte lines), which no suite program approaches.
 func (s Stream) Resolve() *Lap {
-	p := buildReplayPlan(s.Layout, int64(s.LineBytes))
-	if top := p.maxLine(); top > math.MaxInt32 {
-		panic(fmt.Sprintf("layout: line %d of a %d-byte-line stream overflows int32", top, s.LineBytes))
-	}
+	r := NewStreamReplayer(s.Layout, s.LineBytes)
+	p := r.plan
 	syms := s.Trace.Syms
 	n := len(syms)
 	lap := &Lap{Occurrences: n}
@@ -352,29 +347,9 @@ func (s Stream) Resolve() *Lap {
 			}
 		}
 	}
-	rs := make([]LineRange, 0, n+stubs)
-	lines := 0
-	prev := ir.NoBlock
-	for i, sym := range syms {
-		b := ir.BlockID(sym)
-		if p.hasStubs && prev != ir.NoBlock {
-			if fn := p.entryFn[b]; fn >= 0 && p.callCallee[prev] == fn {
-				rs = append(rs, LineRange{^int32(p.stubFirst[fn]), int32(p.stubLast[fn])})
-				lines += int(p.stubLast[fn]-p.stubFirst[fn]) + 1
-			}
-		}
-		next := ir.NoBlock
-		if i+1 < n {
-			next = ir.BlockID(syms[i+1])
-		}
-		last := p.blockLast(b, next)
-		rs = append(rs, LineRange{int32(p.lineFirst[b]), int32(last)})
-		lines += int(last-p.lineFirst[b]) + 1
-		prev = b
-	}
-	lap.Ranges = rs
-	lap.Lines = lines
-	lap.WrapLast = int32(p.blockLast(prev, ir.BlockID(syms[0])))
+	lap.Ranges = r.Finish(r.Feed(make([]LineRange, 0, n+stubs), syms))
+	lap.Lines = int(r.lines)
+	lap.WrapLast = int32(p.blockLast(ir.BlockID(syms[n-1]), ir.BlockID(syms[0])))
 	return lap
 }
 

@@ -1,11 +1,19 @@
 package layout
 
-import "codelayout/internal/ir"
+import (
+	"fmt"
+	"math"
+
+	"codelayout/internal/ir"
+)
 
 // StreamReplayer is the chunk-fed form of a non-wrapping Replayer: the
 // caller pushes block occurrences as they arrive (layoutd decoding an
-// upload that is still on the wire) and the fetch stream comes out
-// identical to replaying the concatenated trace through AppendLines.
+// upload that is still on the wire) and the fetch stream comes out as
+// the line ranges Resolve gives the concatenated trace, in Lap form:
+// each occurrence's block range, preceded by its stub range (First
+// complemented) when it calls into a stub-carrying layout's function
+// entry. Expanded into lines, they are the lines AppendLines fetches.
 //
 // Two per-occurrence rules look one step ahead, so the replayer holds
 // back the most recent occurrence until its successor is known:
@@ -26,64 +34,70 @@ type StreamReplayer struct {
 	held    ir.BlockID // most recent occurrence, awaiting its successor
 	hasHeld bool
 	blocks  int64
+	lines   int64 // lines in the ranges emitted so far
 }
 
 // NewStreamReplayer creates a chunk-fed replayer over the given layout.
 // The layout is immutable for the replayer's lifetime by contract.
+// Ranges hold int32 lines, so it panics, as Resolve does, if the layout
+// reaches past math.MaxInt32 lines.
 func NewStreamReplayer(l *Layout, lineBytes int) *StreamReplayer {
-	return &StreamReplayer{
-		plan: buildReplayPlan(l, int64(lineBytes)),
-		prev: ir.NoBlock,
-		held: ir.NoBlock,
+	p := buildReplayPlan(l, int64(lineBytes))
+	if top := p.maxLine(); top > math.MaxInt32 {
+		panic(fmt.Sprintf("layout: line %d of a %d-byte-line stream overflows int32", top, lineBytes))
 	}
+	return &StreamReplayer{plan: p, prev: ir.NoBlock, held: ir.NoBlock}
 }
 
-// emit appends the lines fetched by one occurrence of b whose successor
-// in the trace is next (ir.NoBlock at the trace end) — the same rules,
-// in the same order, as Replayer.AppendLines.
-func (r *StreamReplayer) emit(dst []int64, b, next ir.BlockID) []int64 {
-	p := r.plan
-	if p.hasStubs && r.prev != ir.NoBlock {
-		if fn := p.entryFn[b]; fn >= 0 && p.callCallee[r.prev] == fn {
-			for ln := p.stubFirst[fn]; ln <= p.stubLast[fn]; ln++ {
-				dst = append(dst, ln)
-			}
-		}
-	}
-	last := p.blockLast(b, next)
-	for ln := p.lineFirst[b]; ln <= last; ln++ {
-		dst = append(dst, ln)
-	}
-	r.prev = b
-	r.blocks++
-	return dst
-}
-
-// Feed appends the cache lines fetched by chunk's occurrences to dst
+// Feed appends the line ranges fetched by chunk's occurrences to dst
 // and returns the extended slice. Chunk boundaries are irrelevant: any
-// split of a trace yields the same line stream. The lines for the
-// chunk's final occurrence appear only once its successor arrives (in
-// the next chunk, or at Finish).
-func (r *StreamReplayer) Feed(dst []int64, chunk []int32) []int64 {
-	for _, s := range chunk {
-		b := ir.BlockID(s)
-		if r.hasHeld {
-			dst = r.emit(dst, r.held, b)
-		}
-		r.held, r.hasHeld = b, true
+// split of a trace yields the same ranges. The ranges of the chunk's
+// final occurrence appear only once its successor arrives (in the next
+// chunk, or at Finish).
+func (r *StreamReplayer) Feed(dst []LineRange, chunk []int32) []LineRange {
+	if len(chunk) > 0 && !r.hasHeld {
+		r.held, r.hasHeld = ir.BlockID(chunk[0]), true
+		chunk = chunk[1:]
 	}
-	return dst
+	return r.advance(dst, chunk)
 }
 
 // Finish flushes the held trailing occurrence — its successor is the
 // trace end — and returns the extended slice. The replayer is exhausted
 // afterwards; further Feed calls start emitting again as if the stream
 // continued, so call Finish exactly once, last.
-func (r *StreamReplayer) Finish(dst []int64) []int64 {
-	if r.hasHeld {
-		dst = r.emit(dst, r.held, ir.NoBlock)
-		r.held, r.hasHeld = ir.NoBlock, false
+func (r *StreamReplayer) Finish(dst []LineRange) []LineRange {
+	if !r.hasHeld {
+		return dst
 	}
+	end := [1]int32{int32(ir.NoBlock)} // the held occurrence's successor
+	dst = r.advance(dst, end[:])
+	r.hasHeld = false
+	return dst
+}
+
+// advance emits the held occurrence's ranges once its successor, the
+// first of nexts, is known, then those of every occurrence in nexts but
+// the last, which it holds. The rules are AppendLines', inline in one
+// loop per batch: a helper called per occurrence measured slower.
+func (r *StreamReplayer) advance(dst []LineRange, nexts []int32) []LineRange {
+	p := r.plan
+	prev, held, lines := r.prev, r.held, r.lines
+	for _, s := range nexts {
+		next := ir.BlockID(s)
+		if p.hasStubs && prev != ir.NoBlock {
+			if fn := p.entryFn[held]; fn >= 0 && p.callCallee[prev] == fn {
+				dst = append(dst, LineRange{^int32(p.stubFirst[fn]), int32(p.stubLast[fn])})
+				lines += p.stubLast[fn] - p.stubFirst[fn] + 1
+			}
+		}
+		first, last := p.lineFirst[held], p.blockLast(held, next)
+		dst = append(dst, LineRange{int32(first), int32(last)})
+		lines += last - first + 1
+		prev, held = held, next
+	}
+	r.prev, r.held, r.lines = prev, held, lines
+	r.blocks += int64(len(nexts))
 	return dst
 }
 

@@ -130,7 +130,7 @@ func NewUploads(dir string, maxBytes int64, maxSessions int) (*Uploads, error) {
 
 // OpenUploads prepares the spool directory and recovers the sessions of
 // a previous process: every .part spool with a valid .session metadata
-// document is truncated to its durable offset, checksum-verified, and
+// document is checksum-verified, truncated to its durable offset, and
 // re-registered at the offset the dead process last acknowledged.
 // Orphaned or corrupt spool/metadata pairs are quarantined; stray
 // metadata temp files and dead streamed-submission spools are deleted.
@@ -222,8 +222,8 @@ func (u *Uploads) scan() error {
 	return nil
 }
 
-// recover adopts one spool/metadata pair: parse, truncate the spool to
-// the durable offset, verify the prefix checksum, and register the
+// recover adopts one spool/metadata pair: parse, verify the prefix
+// checksum, truncate the spool to the durable offset, and register the
 // session. Any failure is returned for the caller to quarantine.
 func (u *Uploads) recover(id string) error {
 	mf, err := u.fs.Open(u.metaPath(id))
@@ -254,6 +254,17 @@ func (u *Uploads) recover(id string) error {
 	if err != nil {
 		return fmt.Errorf("reopening spool: %w", err)
 	}
+	h := sha256.New()
+	if _, err := io.CopyN(h, f, meta.Offset); err != nil {
+		f.Close()
+		return fmt.Errorf("hashing durable prefix: %w", err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != meta.SHA256 {
+		// Verified before any truncation, so a spool that goes to
+		// quarantine keeps every byte it had.
+		f.Close()
+		return fmt.Errorf("durable prefix sha256 %s, metadata records %s", got, meta.SHA256)
+	}
 	if fi.Size() > meta.Offset {
 		// Bytes past the recorded offset were never acknowledged (the
 		// crash hit between the spool fsync and the metadata persist);
@@ -262,15 +273,6 @@ func (u *Uploads) recover(id string) error {
 			f.Close()
 			return fmt.Errorf("truncating spool to durable offset: %w", err)
 		}
-	}
-	h := sha256.New()
-	if _, err := io.CopyN(h, f, meta.Offset); err != nil {
-		f.Close()
-		return fmt.Errorf("hashing durable prefix: %w", err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != meta.SHA256 {
-		f.Close()
-		return fmt.Errorf("durable prefix sha256 %s, metadata records %s", got, meta.SHA256)
 	}
 	up := &Upload{
 		ID:        id,

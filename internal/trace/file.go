@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // File format: the instrumentation phase of the paper's system records
@@ -154,21 +155,68 @@ func (d *Decoder) Next() (int32, error) {
 // (n, err) with n possibly non-zero when the container turns out to be
 // corrupt or truncated mid-chunk — the occurrences decoded before the
 // failure are valid and err carries the byte offset, exactly like Next.
+//
+// Varints are decoded in place from the reader's buffered bytes. One
+// that is not whole in the buffer, that overflows, or whose symbol is
+// out of range is left to Next, which refills the buffer or reports
+// the error, so NextChunk delivers exactly what a loop of Next would.
 func (d *Decoder) NextChunk(dst []int32) (int, error) {
 	if d.read >= d.count {
 		return 0, io.EOF
 	}
-	for n := range dst {
+	if left := d.count - d.read; uint64(len(dst)) > left {
+		dst = dst[:left]
+	}
+	n := 0
+	for {
+		n += d.decodeBuffered(dst[n:])
+		if n == len(dst) {
+			return n, nil
+		}
 		s, err := d.Next()
 		if err != nil {
-			if err == io.EOF {
-				return n, nil
-			}
 			return n, err
 		}
 		dst[n] = s
+		n++
 	}
-	return len(dst), nil
+}
+
+// decodeBuffered decodes occurrences into dst from the bytes already in
+// the reader's buffer, stopping before the first varint it cannot
+// accept, and returns how many it wrote. The caller bounds dst by the
+// occurrences left.
+func (d *Decoder) decodeBuffered(dst []int32) int {
+	// Peeking or discarding no more than is buffered reads nothing and
+	// cannot fail.
+	buf, _ := d.br.Peek(d.br.Buffered())
+	prev := d.prev
+	i, n := 0, 0
+	for n < len(dst) && i < len(buf) {
+		var ux uint64
+		k := 1
+		if b := buf[i]; b < 0x80 {
+			ux = uint64(b)
+		} else if i+1 < len(buf) && buf[i+1] < 0x80 {
+			ux = uint64(b&0x7f) | uint64(buf[i+1])<<7
+			k = 2
+		} else if ux, k = binary.Uvarint(buf[i:]); k <= 0 {
+			break // cut by the buffer's end, or an overflow
+		}
+		s := prev + (int64(ux>>1) ^ -int64(ux&1)) // zig-zag, as ReadVarint
+		if uint64(s) > 1<<30 {
+			break // negative or past the symbol cap
+		}
+		prev = s
+		dst[n] = int32(s)
+		n++
+		i += k
+	}
+	_, _ = d.br.Discard(i)
+	d.off += int64(i)
+	d.read += uint64(n)
+	d.prev = prev
+	return n
 }
 
 // Decode drains the remaining occurrences into a Trace. The initial
@@ -180,16 +228,17 @@ func (d *Decoder) Decode() (*Trace, error) {
 		capHint = 1 << 20
 	}
 	syms := make([]int32, 0, capHint)
-	for {
-		s, err := d.Next()
-		if err == io.EOF {
-			return &Trace{Syms: syms}, nil
+	for d.read < d.count {
+		if len(syms) == cap(syms) {
+			syms = slices.Grow(syms, 1)
 		}
+		n, err := d.NextChunk(syms[len(syms):cap(syms)])
+		syms = syms[:len(syms)+n]
 		if err != nil {
 			return nil, err
 		}
-		syms = append(syms, s)
 	}
+	return &Trace{Syms: syms}, nil
 }
 
 // noEOF converts a bare io.EOF inside a container into

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzTraceRoundTrip feeds arbitrary bytes to the CLTR reader. Valid
@@ -233,4 +236,122 @@ func TestHashingReaderMatchesDigest(t *testing.T) {
 	if hr.Sum() != tr.Digest() {
 		t.Errorf("streamed digest %s != canonical digest %s", hr.Sum(), tr.Digest())
 	}
+}
+
+// nextLoop decodes data with a loop of Next, the byte-wise reference:
+// the symbols delivered, the error that ended the loop (nil at a clean
+// end), and the decoder's final offset. ok is false when the header is
+// rejected.
+func nextLoop(data []byte) (syms []int32, err error, off int64, ok bool) {
+	d, err := NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		return nil, err, 0, false
+	}
+	for {
+		s, err := d.Next()
+		if err == io.EOF {
+			return syms, nil, d.Offset(), true
+		}
+		if err != nil {
+			return syms, err, d.Offset(), true
+		}
+		syms = append(syms, s)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// container builds a CLTR container declaring count occurrences over
+// the given raw payload bytes.
+func container(count uint64, payload ...[]byte) []byte {
+	out := binary.AppendUvarint([]byte("CLTR\x01"), count)
+	for _, p := range payload {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// oneByteRun returns n one-byte deltas alternating +1 and -1, which keep
+// the running symbol in {0, 1}.
+func oneByteRun(n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = 2 - byte(i%2) // zig-zag +1, then -1
+	}
+	return out
+}
+
+// straddle places varint v so that it starts on the last byte of the
+// decoder's first 4,096-byte buffer fill, after a run of one-byte
+// deltas, and follows it with a few more.
+func straddle(v []byte) []byte {
+	head := len(container(1 << 13)) // the count takes two bytes
+	run := oneByteRun(4095 - head)
+	return container(uint64(len(run)+1+4), run, v, oneByteRun(4))
+}
+
+// FuzzDecoderMatchesNext: for any container bytes and chunk size,
+// NextChunk and Decode, which decode varints in place from the buffered
+// bytes, must deliver the symbols, the error text and the final
+// Offset() of a loop of Next, whether the reader hands over the bytes
+// whole or in ever smaller reads.
+func FuzzDecoderMatchesNext(f *testing.F) {
+	var zig [binary.MaxVarintLen64]byte
+	delta := func(x int64) []byte { return zig[:binary.PutVarint(zig[:], x)] }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	run := oneByteRun(40)
+	ten := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}    // non-minimal 0
+	tenBig := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // 1<<63: out of range
+	eleven := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+
+	f.Add([]byte("CLTR\x01\x01\x80\x00"), uint16(1)) // non-minimal varint decodes to [0]
+	f.Add(encodeTrace(f, []int32{5, 5, 4, 1000000, 0, 7, 7, 8, 9, 3, 1 << 20, 2, 2, 1}), uint16(3))
+	f.Add(container(43, run, []byte{0x80, 0x00}, []byte{0x82, 0x00}, delta(-1)), uint16(5))
+	f.Add(container(42, run, ten, delta(3)), uint16(64))
+	f.Add(container(42, run, tenBig, delta(3)), uint16(64))
+	f.Add(container(42, run, eleven, delta(3)), uint16(64))
+	f.Add(container(42, run, delta(1<<30), delta(0)), uint16(7))   // the largest symbol
+	f.Add(container(42, run, delta(1<<30+1), delta(0)), uint16(7)) // one past it
+	f.Add(container(42, run, delta(-2), delta(5)), uint16(2))      // running symbol goes negative
+	f.Add(cat(container(40, run), []byte("trailing bytes")), uint16(9))
+	f.Add(container(45, run), uint16(16)) // declares more than it holds
+	for _, v := range [][]byte{delta(200), delta(100000), ten, eleven, delta(1<<30 + 1)} {
+		f.Add(straddle(v), uint16(1000))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		want, wantErr, wantOff, ok := nextLoop(data)
+		if !ok {
+			return
+		}
+		readers := map[string]func() io.Reader{
+			"whole": func() io.Reader { return bytes.NewReader(data) },
+			"half":  func() io.Reader { return iotest.HalfReader(bytes.NewReader(data)) },
+		}
+		for name, rd := range readers {
+			d, err := NewDecoder(rd())
+			if err != nil {
+				t.Fatalf("%s: header rejected only here: %v", name, err)
+			}
+			got, err := chunkedDecode(d, int(chunk)%1024+1)
+			if !slices.Equal(got, want) || errText(err) != errText(wantErr) || d.Offset() != wantOff {
+				t.Fatalf("%s NextChunk: %d symbols, err %q, offset %d; Next: %d symbols, err %q, offset %d",
+					name, len(got), errText(err), d.Offset(), len(want), errText(wantErr), wantOff)
+			}
+			d, _ = NewDecoder(rd())
+			tr, err := d.Decode()
+			if errText(err) != errText(wantErr) || d.Offset() != wantOff {
+				t.Fatalf("%s Decode: err %q, offset %d; Next: err %q, offset %d",
+					name, errText(err), d.Offset(), errText(wantErr), wantOff)
+			}
+			if err == nil && !slices.Equal(tr.Syms, want) {
+				t.Fatalf("%s Decode: symbols differ from Next's", name)
+			}
+		}
+	})
 }

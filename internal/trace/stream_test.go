@@ -223,13 +223,40 @@ func FuzzChunkedDecode(f *testing.F) {
 // BenchmarkStreamDecode decodes a 64k-occurrence container through the
 // chunked streaming API. The per-op cost is one decoder (its bufio
 // buffer) over a reused chunk buffer; the gate in scripts/bench_json.sh
-// keeps the loop itself allocation-free.
+// keeps the loop itself allocation-free. Its symbols are uniform below
+// 2,048, so most deltas take two bytes.
 func BenchmarkStreamDecode(b *testing.B) {
 	syms := make([]int32, 1<<16)
 	rng := rand.New(rand.NewSource(42))
 	for i := range syms {
 		syms[i] = rng.Int31n(2048)
 	}
+	benchChunkedDecode(b, syms)
+}
+
+// BenchmarkStreamDecodeClustered is BenchmarkStreamDecode over
+// suite-like symbols: a walk whose steps mostly stay within 63 blocks,
+// so their deltas take one byte, with one step in 16 a jump anywhere
+// below 2,048. The suite's block-level training traces hold 93–94%
+// one-byte deltas and the rest two-byte ones.
+func BenchmarkStreamDecodeClustered(b *testing.B) {
+	syms := make([]int32, 1<<16)
+	rng := rand.New(rand.NewSource(42))
+	s := int32(1024)
+	for i := range syms {
+		if rng.Intn(16) == 0 {
+			s = rng.Int31n(2048)
+		} else {
+			s = min(max(s+rng.Int31n(127)-63, 0), 2047)
+		}
+		syms[i] = s
+	}
+	benchChunkedDecode(b, syms)
+}
+
+// benchChunkedDecode drains syms' container through NextChunk into a
+// reused 4,096-symbol buffer once per iteration.
+func benchChunkedDecode(b *testing.B, syms []int32) {
 	data := encodeTrace(b, syms)
 	buf := make([]int32, 4096)
 	rd := bytes.NewReader(data)

@@ -5,14 +5,17 @@
 #   bench_json.sh run [out.json]
 #       Run the kernel benchmarks (affinity stack passes, TRG
 #       construction, footprint curve, co-run simulation, pair
-#       analysis, placement solver, streaming decode and feed) with
-#       -benchmem
-#       and write one JSON document with ns/op, B/op and allocs/op per
-#       benchmark, plus the machine it ran on: nproc, GOMAXPROCS (the
-#       -N suffix go test gives benchmark names, stripped from the
-#       names themselves), the Go version and the CPU model go test
-#       reports. BENCHTIME overrides -benchtime (default 3x; CI uses
-#       1x).
+#       analysis, solo replay, placement solver, streaming decode and
+#       feed) with -benchmem and write one JSON document with ns/op,
+#       B/op and allocs/op per benchmark, plus the machine it ran on:
+#       nproc, GOMAXPROCS (the -N suffix go test gives benchmark names,
+#       stripped from the names themselves), the Go version and the
+#       CPU model go test reports. BENCHTIME overrides -benchtime
+#       (default 3x; CI uses 1x). The benchmarks gated at zero
+#       allocations run apart, at BENCHTIME or 10x, whichever is more:
+#       allocs/op is the whole run's count divided by its iterations,
+#       so a stray runtime allocation in one iteration reads 0, while
+#       a kernel that allocates on every call still reads at least 1.
 #
 #   bench_json.sh check out.json <benchmark> <max-allocs>
 #       Exit non-zero if <benchmark>'s allocs_per_op in out.json exceeds
@@ -31,17 +34,29 @@ BENCHTIME=${BENCHTIME:-3x}
 # The kernel benchmarks the harness tracks, one per analysis subsystem
 # (the TRG reduction on a basic-block-scale graph among them), the
 # suite-scale bb-affinity and bb-trg feeds as layoutd runs them, plus the
-# end-to-end worker sweeps in the root package, the
-# observability hot paths (span start/end, counter, histogram), which
-# ride on every instrumented kernel and must stay allocation-free, and
-# the anti-entropy digest-set diff, which runs every sweep on every node
-# and must reuse its caller's buffer, the traceparent parse/format pair,
-# which runs on every inbound request and every peer hop, the
+# end-to-end worker sweeps in the root package, the /v1/corun pair
+# analysis (its six co-run simulations over four resolved streams, both
+# footprint curves and its parts), the two solo replays a job runs, the
 # runtime-telemetry sampler tick, which fires for the process lifetime,
-# and the /v1/corun pair analysis (its six co-run simulations over four
-# resolved streams, both footprint curves and its parts).
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick|BenchmarkComputePair)$'
-PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/cluster ./internal/server'
+# and the streaming decode over uniform and suite-like symbols.
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkBuildHierarchyArena|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEndDropped|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamDecodeClustered|BenchmarkStreamFeed|BenchmarkRuntimeSamplerTick|BenchmarkComputePair|BenchmarkSoloStream)$'
+PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/server ./internal/cachesim'
+
+# The benchmarks gated at zero allocations: the affinity stack passes
+# and the TRG interleaving scan once warm, the observability hot paths
+# (span start/end, counter, histogram), which ride on every instrumented
+# kernel, the traceparent parse/format pair, which runs on every inbound
+# request and every peer hop, and the anti-entropy digest-set diff,
+# which runs every sweep on every node and must reuse its caller's
+# buffer. They run at ZERO_BENCHTIME.
+ZERO_RE='^(BenchmarkShardPairHists|BenchmarkBuildShard|BenchmarkSpanStartEnd|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkAntiEntropyDiff)$'
+ZERO_PKGS='./internal/affinity ./internal/trg ./internal/obs ./internal/cluster'
+case $BENCHTIME in
+*x) iters=${BENCHTIME%x}
+    [ "$iters" -ge 10 ] 2>/dev/null || iters=10
+    ZERO_BENCHTIME=${iters}x ;;
+*)  ZERO_BENCHTIME=$BENCHTIME ;;
+esac
 
 run() {
     out=${1:-$OUT_DEFAULT}
@@ -50,8 +65,10 @@ run() {
 
     echo "bench-json: running kernel benchmarks (benchtime=$BENCHTIME)" >&2
     go test -run='^$' -bench="$BENCH_RE" -benchmem -benchtime="$BENCHTIME" $PKGS | tee "$raw" >&2
+    echo "bench-json: running zero-budget benchmarks (benchtime=$ZERO_BENCHTIME)" >&2
+    go test -run='^$' -bench="$ZERO_RE" -benchmem -benchtime="$ZERO_BENCHTIME" $ZERO_PKGS | tee -a "$raw" >&2
 
-    awk -v benchtime="$BENCHTIME" \
+    awk -v benchtime="$BENCHTIME" -v zerobenchtime="$ZERO_BENCHTIME" \
         -v nproc="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)" \
         -v gover="$(go env GOVERSION)" '
     /^pkg: /  { pkg = $2 }
@@ -87,8 +104,8 @@ run() {
     END {
         if (gomaxprocs == "") gomaxprocs = 1
         printf "\n  ],\n"
-        printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"benchtime\": \"%s\",\n",
-               goos, goarch, benchtime
+        printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"zero_budget_benchtime\": \"%s\",\n",
+               goos, goarch, benchtime, zerobenchtime
         printf "  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"go_version\": \"%s\",\n  \"cpu\": \"%s\"\n}\n",
                nproc, gomaxprocs, gover, cpu
         if (n == 0) exit 3
