@@ -178,8 +178,9 @@ func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 // poll ctx periodically, so a job deadline can interrupt a long analysis
 // mid-phase. On cancellation the partial hierarchy is discarded and
 // ctx's error returned. The build is the Feeder run over the resident
-// trimmed trace: it cuts max(Workers, ⌈n/span⌉) shards of the trace in
-// place (span is FeedShardSpan or its default) and finishes as Finish
+// trimmed trace, t itself when it is already trimmed: it cuts
+// max(Workers, ⌈n/span⌉) shards of the trace in place (span is
+// FeedShardSpan or its default), never writes it, and finishes as Finish
 // does. Its affinity.hierarchy span covers the whole build, the stack
 // passes included, where a Feeder's covers only what runs after the
 // last Feed.
@@ -187,7 +188,7 @@ func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hiera
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
 	f := NewFeeder(ctx, opt)
-	f.feedResident(t.Trimmed().Syms, opt.Workers)
+	f.feedResident(t.AsTrimmed().Syms, opt.Workers)
 	return f.finish(sp)
 }
 

@@ -199,6 +199,29 @@ func TestResidentBuildCancelAndAlias(t *testing.T) {
 	}
 }
 
+// TestResidentBuildReadsTrimmedInPlace: BuildHierarchyCtx analyzes a
+// trace that is already trimmed in place, without a copy. At Workers 1
+// and 2 the build leaves that trace as it was and equals the build from
+// the untrimmed trace.
+func TestResidentBuildReadsTrimmedInPlace(t *testing.T) {
+	tr := phasedTrace(rand.New(rand.NewSource(12)), 4000, 500, 12)
+	want := BuildHierarchy(tr, Options{WMax: 5, Workers: 1})
+	trimmed := tr.Trimmed()
+	before := slices.Clone(trimmed.Syms)
+	for _, workers := range []int{1, 2} {
+		got, err := BuildHierarchyCtx(context.Background(), trimmed, Options{WMax: 5, Workers: workers, FeedShardSpan: 150})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(trimmed.Syms, before) {
+			t.Fatalf("workers=%d: the build changed the caller's trimmed trace", workers)
+		}
+		if !reflect.DeepEqual(got.Levels, want.Levels) {
+			t.Fatalf("workers=%d: the in-place build differs from the untrimmed trace's", workers)
+		}
+	}
+}
+
 // TestFeederMemoryBounded: what a Feeder holds before Finish is
 // bounded by its shard span, not by the trace length. 403.gcc's
 // basic-block profile tiled 16 times (about 4.4M references, 68

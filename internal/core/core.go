@@ -10,6 +10,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -129,14 +130,15 @@ type Optimizer struct {
 	// the serial reference path. It is an execution knob, not a model
 	// parameter — the layout is identical for every setting.
 	Workers int
-	// FeedShardSpan overrides the shard span (in trimmed occurrences)
-	// the streaming Feed cuts from an arriving trace; 0 means the
-	// kernels' defaults. Like Workers it is an execution knob only.
-	FeedShardSpan int
 	// Arena recycles the analysis kernels' internal buffers across
 	// Optimize calls; nil allocates fresh buffers per call. Like Workers
 	// it is an execution knob only — the layout is identical either way.
 	Arena *Arena
+
+	// feedShardSpan overrides the kernels' shard span (in trimmed
+	// occurrences); 0 keeps their defaults. Only this package's tests
+	// set it, to force many shards on small traces.
+	feedShardSpan int
 }
 
 // Arena bundles the analysis kernels' buffer pools so a long-lived
@@ -273,10 +275,6 @@ func (o Optimizer) OptimizeCtx(ctx context.Context, prof *Profile) (*layout.Layo
 	if prof == nil || prof.Prog == nil || prof.Blocks == nil {
 		return nil, rep, fmt.Errorf("core: nil profile")
 	}
-	pruneN := o.PruneTopN
-	if pruneN == 0 {
-		pruneN = DefaultPruneTopN
-	}
 
 	// 1. Granularity-specific trimmed trace (Definition 1).
 	psp := obs.StartSpan(ctx, "trace.prune")
@@ -291,35 +289,30 @@ func (o Optimizer) OptimizeCtx(ctx context.Context, prof *Profile) (*layout.Layo
 		return nil, rep, fmt.Errorf("core: unknown granularity %v", o.Gran)
 	}
 
-	// 2. Popularity pruning (§II-F).
-	pruned, retention := tt.PruneTopN(pruneN)
-	// Pruning can produce new consecutive duplicates; re-trim.
-	pruned = pruned.Trimmed()
-	rep.TraceLen = pruned.Len()
-	rep.Retention = retention
-	psp.SetAttr("kept", int64(pruned.Len()))
+	// 2. Popularity pruning (§II-F). A bound that covers the alphabet
+	// keeps every occurrence, so the trimmed trace is analyzed as it is.
+	rep.Retention = 1
+	if n, keepsAll := o.pruneBound(prof.Prog); !keepsAll {
+		tt, rep.Retention = tt.PruneTopN(n)
+		// Pruning can produce new consecutive duplicates; re-trim.
+		tt = tt.Trimmed()
+	}
+	rep.TraceLen = tt.Len()
+	psp.SetAttr("kept", int64(tt.Len()))
 	psp.End()
 
 	// 3. Locality model.
 	var seq []int32
+	var err error
 	switch o.Model {
 	case ModelAffinity:
-		h, err := affinity.BuildHierarchyCtx(ctx, pruned, affinity.Options{
-			WMax: o.WMax, Workers: o.Workers, Arena: o.Arena.affinityArena(),
-		})
-		if err != nil {
-			return nil, rep, fmt.Errorf("core: %s analysis: %w", o.Name(), err)
-		}
-		seq = h.Sequence()
+		seq, err = o.affinitySequence(affinity.BuildHierarchyCtx(ctx, tt, o.affinityOptions()))
 	case ModelTRG:
-		var err error
-		seq, err = trg.SequenceCtx(ctx, pruned, o.trgParams(), o.Arena.trgArena())
-		if err != nil {
-			return nil, rep, fmt.Errorf("core: %s analysis: %w", o.Name(), err)
-		}
+		g, gerr := o.trgGraph(ctx, tt)
+		seq, err = o.trgSequence(ctx, g, gerr)
 	case ModelCMG:
 		csp := obs.StartSpan(ctx, "cmg.sequence")
-		seq = cmg.Sequence(pruned, o.trgParams())
+		seq = cmg.Sequence(tt, o.trgParams())
 		csp.End()
 	case ModelCallGraph:
 		if o.Gran != GranFunction {
@@ -332,38 +325,99 @@ func (o Optimizer) OptimizeCtx(ctx context.Context, prof *Profile) (*layout.Layo
 		if o.Gran != GranFunction {
 			return nil, rep, fmt.Errorf("core: layout search reorders functions only")
 		}
-		var err error
-		seq, err = searchSequence(ctx, o, prof, pruned)
-		if err != nil {
-			return nil, rep, fmt.Errorf("core: %s analysis: %w", o.Name(), err)
-		}
+		seq, err = o.searchSequence(ctx, prof.Prog, tt)
 	default:
 		return nil, rep, fmt.Errorf("core: unknown model %v", o.Model)
 	}
-	rep.SeqLen = len(seq)
-	rep.Sequence = seq
-
-	// 4. Transformation.
-	l, err := o.emitLayout(ctx, prof.Prog, seq, &rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	return l, rep, nil
+
+	// 4. Transformation.
+	return o.emitLayout(ctx, prof.Prog, seq, rep)
+}
+
+// pruneBound returns the effective popularity-pruning bound n, and
+// whether it provably keeps every occurrence of prog's traces: n covers
+// the program's whole alphabet at this granularity, so every symbol is
+// kept and retention is exactly 1.0. The answer is the same for every
+// model.
+func (o Optimizer) pruneBound(prog *ir.Program) (n int, keepsAll bool) {
+	n = cmp.Or(o.PruneTopN, DefaultPruneTopN)
+	switch o.Gran {
+	case GranFunction:
+		return n, n >= prog.NumFuncs()
+	case GranBasicBlock:
+		return n, n >= prog.NumBlocks()
+	}
+	return n, false
+}
+
+// affinityOptions configures the affinity kernel. It, trgGraph and the
+// two finishing steps below are each model's one configuration and one
+// ending, shared by OptimizeCtx, the streaming Feed and the layout
+// search.
+func (o Optimizer) affinityOptions() affinity.Options {
+	return affinity.Options{
+		WMax: o.WMax, Workers: o.Workers, Arena: o.Arena.affinityArena(), FeedShardSpan: o.feedShardSpan,
+	}
+}
+
+// trgGraph builds the TRG of a trimmed trace held in memory under a
+// trg.build span.
+func (o Optimizer) trgGraph(ctx context.Context, tt *trace.Trace) (*trg.Graph, error) {
+	sp := obs.StartSpan(ctx, "trg.build")
+	defer sp.End()
+	g, err := trg.BuildCtx(ctx, tt, o.trgParams().WindowBlocks(), o.Workers, o.Arena.trgArena())
+	if err == nil {
+		sp.SetAttr("nodes", int64(len(g.Nodes())))
+	}
+	return g, err
+}
+
+// analysisErr wraps a kernel's failure (a canceled or expired ctx).
+func (o Optimizer) analysisErr(err error) error {
+	return fmt.Errorf("core: %s analysis: %w", o.Name(), err)
+}
+
+// affinitySequence ends an affinity analysis: the hierarchy's code
+// sequence, or the build's error.
+func (o Optimizer) affinitySequence(h *affinity.Hierarchy, err error) ([]int32, error) {
+	if err != nil {
+		return nil, o.analysisErr(err)
+	}
+	return h.Sequence(), nil
+}
+
+// trgSequence ends a TRG analysis: the graph reduced into the cache's
+// slots under a trg.reduce span and recycled, or the build's error.
+func (o Optimizer) trgSequence(ctx context.Context, g *trg.Graph, err error) ([]int32, error) {
+	if err != nil {
+		return nil, o.analysisErr(err)
+	}
+	sp := obs.StartSpan(ctx, "trg.reduce")
+	seq := trg.Reduce(g, o.trgParams().Slots())
+	sp.SetAttr("seq_len", int64(len(seq)))
+	sp.End()
+	o.Arena.trgArena().PutGraph(g)
+	return seq, nil
 }
 
 // emitLayout is the pipeline's transformation step: turn the model's
-// code sequence into a validated layout and record its costs in rep.
-// Shared by the buffered OptimizeCtx and the streaming Feed.
-func (o Optimizer) emitLayout(ctx context.Context, prog *ir.Program, seq []int32, rep *Report) (*layout.Layout, error) {
+// code sequence into a validated layout, and complete rep with the
+// sequence and its costs. Shared by OptimizeCtx and the streaming Feed.
+func (o Optimizer) emitLayout(ctx context.Context, prog *ir.Program, seq []int32, rep Report) (*layout.Layout, Report, error) {
+	rep.SeqLen = len(seq)
+	rep.Sequence = seq
 	esp := obs.StartSpan(ctx, "layout.emit")
 	esp.SetAttr("seq_len", int64(len(seq)))
 	defer esp.End()
 	l, err := o.layoutOf(prog, seq)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s produced invalid layout: %w", o.Name(), err)
+		return nil, rep, fmt.Errorf("core: %s produced invalid layout: %w", o.Name(), err)
 	}
 	rep.JumpOverheadBytes = l.JumpOverheadBytes()
-	return l, nil
+	return l, rep, nil
 }
 
 // layoutOf turns a code sequence into a validated layout at the
@@ -397,27 +451,25 @@ func (o Optimizer) layoutOf(prog *ir.Program, seq []int32) (*layout.Layout, erro
 
 // searchSequence runs the Petrank-Rawitz-wall local search: TRG-weighted
 // conflict cost, seeded from the affinity order.
-func searchSequence(ctx context.Context, o Optimizer, prof *Profile, pruned *trace.Trace) ([]int32, error) {
+func (o Optimizer) searchSequence(ctx context.Context, prog *ir.Program, tt *trace.Trace) ([]int32, error) {
 	params := o.trgParams()
-	g, err := trg.BuildCtx(ctx, pruned, params.WindowBlocks(), o.Workers, o.Arena.trgArena())
+	g, err := o.trgGraph(ctx, tt)
 	if err != nil {
-		return nil, err
+		return nil, o.analysisErr(err)
 	}
-	cost := search.ConflictCost(prof.Prog, g, cachesim.Config{
+	cost := search.ConflictCost(prog, g, cachesim.Config{
 		SizeBytes: params.CacheBytes, Assoc: params.Assoc, LineBytes: params.LineBytes,
 	})
-	h, err := affinity.BuildHierarchyCtx(ctx, pruned, affinity.Options{
-		WMax: o.WMax, Workers: o.Workers, Arena: o.Arena.affinityArena(),
-	})
+	o.Arena.trgArena().PutGraph(g)
+	seed, err := o.affinitySequence(affinity.BuildHierarchyCtx(ctx, tt, o.affinityOptions()))
 	if err != nil {
 		return nil, err
 	}
-	seed := h.Sequence()
-	initial := make([]ir.FuncID, 0, prof.Prog.NumFuncs())
+	initial := make([]ir.FuncID, 0, prog.NumFuncs())
 	for _, s := range seed {
 		initial = append(initial, ir.FuncID(s))
 	}
-	initial = layout.CompleteFuncOrder(prof.Prog, initial)
+	initial = layout.CompleteFuncOrder(prog, initial)
 	ssp := obs.StartSpan(ctx, "search.improve")
 	res := search.Improve(initial, cost, search.Options{Seed: 1})
 	ssp.End()

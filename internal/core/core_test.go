@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -254,6 +255,37 @@ func TestOptimizerNamesUniqueStable(t *testing.T) {
 	want := []string{"func-affinity", "bb-affinity", "func-trg", "bb-trg"}
 	if !reflect.DeepEqual(names[:4], want) {
 		t.Errorf("paper optimizers = %v, want %v", names[:4], want)
+	}
+}
+
+// BenchmarkOptimizeResident runs OptimizeCtx the way layoutd analyzes a
+// trace it holds in memory: Workers 1 and one shared Arena. One op is
+// the bb-affinity job on 403.gcc's training profile and the bb-trg job
+// on 458.sjeng's.
+func BenchmarkOptimizeResident(b *testing.B) {
+	arena := &Arena{}
+	jobs := []struct {
+		o    Optimizer
+		prof *Profile
+	}{
+		{BBAffinity(), profileNamed(b, "403.gcc")},
+		{BBTRG(), profileNamed(b, "458.sjeng")},
+	}
+	ctx := context.Background()
+	run := func() {
+		for _, j := range jobs {
+			o := j.o
+			o.Workers, o.Arena = 1, arena
+			if _, _, err := o.OptimizeCtx(ctx, j.prof); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"codelayout/internal/affinity"
 	"codelayout/internal/ir"
 	"codelayout/internal/layout"
-	"codelayout/internal/obs"
 	"codelayout/internal/trg"
 )
 
@@ -21,34 +20,20 @@ import (
 //   - popularity pruning must be provably the identity, i.e. the prune
 //     bound covers the program's whole alphabet at this granularity
 //     (every symbol with a non-zero count is kept and retention is
-//     exactly 1.0). Pruning by frequency inherently needs the full
-//     trace's counts, so a stream with an effective prune cannot start
+//     exactly 1.0), the condition under which OptimizeCtx skips the
+//     prune. Pruning by frequency inherently needs the full trace's
+//     counts, so a stream with an effective prune cannot start
 //     analysis before end-of-stream.
 //
 // With the paper's default bound of 10,000 blocks and the generated
 // suite's program sizes, the gate holds for all four paper optimizers
 // at their defaults.
 func (o Optimizer) FeedSupported(prog *ir.Program) bool {
-	if prog == nil {
+	if prog == nil || (o.Model != ModelAffinity && o.Model != ModelTRG) {
 		return false
 	}
-	if o.Model != ModelAffinity && o.Model != ModelTRG {
-		return false
-	}
-	var alphabet int
-	switch o.Gran {
-	case GranFunction:
-		alphabet = prog.NumFuncs()
-	case GranBasicBlock:
-		alphabet = prog.NumBlocks()
-	default:
-		return false
-	}
-	pruneN := o.PruneTopN
-	if pruneN == 0 {
-		pruneN = DefaultPruneTopN
-	}
-	return pruneN >= alphabet
+	_, keepsAll := o.pruneBound(prog)
+	return keepsAll
 }
 
 // Feed is a streaming optimization in progress: the caller pushes
@@ -65,9 +50,8 @@ type Feed struct {
 	buf  []int32 // reusable granularity-mapping buffer
 	prev int32   // last mapped symbol, for cross-chunk trimming
 
-	aff  *affinity.Feeder
+	aff  *affinity.Feeder // exactly one of aff and trgF is set
 	trgF *trg.Feeder
-	trgP trg.Params
 
 	err  error
 	done bool
@@ -82,15 +66,9 @@ func (o Optimizer) NewFeed(ctx context.Context, prog *ir.Program) (*Feed, error)
 	f := &Feed{o: o, prog: prog, prev: -1}
 	switch o.Model {
 	case ModelAffinity:
-		f.aff = affinity.NewFeeder(ctx, affinity.Options{
-			WMax:          o.WMax,
-			Workers:       o.Workers,
-			Arena:         o.Arena.affinityArena(),
-			FeedShardSpan: o.FeedShardSpan,
-		})
+		f.aff = affinity.NewFeeder(ctx, o.affinityOptions())
 	case ModelTRG:
-		f.trgP = o.trgParams()
-		f.trgF = trg.NewFeeder(ctx, f.trgP.WindowBlocks(), o.Workers, o.FeedShardSpan, o.Arena.trgArena())
+		f.trgF = trg.NewFeeder(ctx, o.trgParams().WindowBlocks(), o.Workers, o.feedShardSpan, o.Arena.trgArena())
 	}
 	return f, nil
 }
@@ -130,17 +108,12 @@ func (f *Feed) Feed(ctx context.Context, chunk []int32) error {
 		f.prev = s
 		f.buf = append(f.buf, s)
 	}
-	var err error
-	switch {
-	case f.aff != nil:
-		err = f.aff.Feed(f.buf)
-	case f.trgF != nil:
-		err = f.trgF.Feed(f.buf)
+	if f.aff != nil {
+		f.err = f.aff.Feed(f.buf)
+	} else {
+		f.err = f.trgF.Feed(f.buf)
 	}
-	if err != nil {
-		f.err = err
-	}
-	return err
+	return f.err
 }
 
 // Finish seals the stream, completes the analysis and emits the layout.
@@ -159,34 +132,20 @@ func (f *Feed) Finish(ctx context.Context) (*layout.Layout, Report, error) {
 	}
 	f.done = true
 	var seq []int32
-	switch {
-	case f.aff != nil:
+	var err error
+	if f.aff != nil {
 		rep.TraceLen = f.aff.N()
-		h, err := f.aff.Finish(ctx)
-		if err != nil {
-			return nil, rep, fmt.Errorf("core: %s analysis: %w", f.o.Name(), err)
-		}
-		seq = h.Sequence()
-	case f.trgF != nil:
+		seq, err = f.o.affinitySequence(f.aff.Finish(ctx))
+	} else {
 		rep.TraceLen = f.trgF.N()
-		g, err := f.trgF.Finish(ctx)
-		if err != nil {
-			return nil, rep, fmt.Errorf("core: %s analysis: %w", f.o.Name(), err)
-		}
-		rp := obs.StartSpan(ctx, "trg.reduce")
-		seq = trg.Reduce(g, f.trgP.Slots())
-		rp.SetAttr("seq_len", int64(len(seq)))
-		rp.End()
-		f.o.Arena.trgArena().PutGraph(g)
+		g, gerr := f.trgF.Finish(ctx)
+		seq, err = f.o.trgSequence(ctx, g, gerr)
 	}
-	rep.Retention = 1.0
-	rep.SeqLen = len(seq)
-	rep.Sequence = seq
-	l, err := f.o.emitLayout(ctx, f.prog, seq, &rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	return l, rep, nil
+	rep.Retention = 1.0
+	return f.o.emitLayout(ctx, f.prog, seq, rep)
 }
 
 // Abort discards the stream and recycles kernel buffers. Call it
@@ -196,10 +155,9 @@ func (f *Feed) Abort() {
 		return
 	}
 	f.done = true
-	switch {
-	case f.aff != nil:
+	if f.aff != nil {
 		f.aff.Abort()
-	case f.trgF != nil:
+	} else {
 		f.trgF.Abort()
 	}
 }

@@ -67,7 +67,7 @@ func TestFeedMatchesOptimize(t *testing.T) {
 				for _, chunk := range []int{97, 8192} {
 					o := base
 					o.Workers = workers
-					o.FeedShardSpan = 300
+					o.feedShardSpan = 300
 					l, rep := feedOptimize(t, o, prof, chunk)
 					if !reflect.DeepEqual(rep, wantRep) {
 						t.Fatalf("case %d %s workers=%d chunk=%d: report %+v != buffered %+v",

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
@@ -170,7 +169,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("missing %s header", headerDigest))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes))
+	body, err := readBody(w, r, s.cfg.MaxTraceBytes)
 	if err != nil {
 		httpError(w, badBodyStatus(err), err)
 		return

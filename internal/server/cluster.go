@@ -167,14 +167,12 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request, peer cluster.Peer
 	return true
 }
 
-// forwardSubmit wraps POST /v1/jobs: the upload is buffered (bounded by
-// MaxTraceBytes), hashed, and routed to the owner of its content
-// address. For raw CLTR bodies the routing key equals the trace digest
-// the server retains, so resubmissions of a profile always land on the
-// node holding its memoized state; multipart bodies hash the whole
-// envelope (boundary included), which is deterministic per request but
-// not per profile — still correct, just without submit affinity.
-func (s *Server) forwardSubmit(next http.HandlerFunc) http.HandlerFunc {
+// forwardBody wraps a POST endpoint whose body names its owner: the
+// body is buffered (bounded by limit), keyFn derives the routing key
+// from it, and the request forwards to that key's owner. A request this
+// node owns, or whose body keyFn cannot parse, is served locally from
+// the buffered body — the handler owns rejecting it properly.
+func (s *Server) forwardBody(limit int64, keyFn func(body []byte) (string, bool), next http.HandlerFunc) http.HandlerFunc {
 	if s.cluster == nil {
 		return next
 	}
@@ -183,13 +181,12 @@ func (s *Server) forwardSubmit(next http.HandlerFunc) http.HandlerFunc {
 			next(w, r)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes))
+		body, err := readBody(w, r, limit)
 		if err != nil {
 			httpError(w, badBodyStatus(err), err)
 			return
 		}
-		sum := sha256.Sum256(body)
-		if s.forwardToOwner(w, r, hex.EncodeToString(sum[:]), body) {
+		if key, ok := keyFn(body); ok && s.forwardToOwner(w, r, key, body) {
 			return
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
@@ -198,33 +195,15 @@ func (s *Server) forwardSubmit(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// forwardJSON wraps the JSON job endpoints (/v1/corun, /v1/schedule):
-// the small body is buffered, keyFn derives the routing key from it,
-// and the request forwards to that key's owner. A body keyFn cannot
-// parse is served locally — the handler owns rejecting it properly.
-func (s *Server) forwardJSON(keyFn func(body []byte) (string, bool), next http.HandlerFunc) http.HandlerFunc {
-	if s.cluster == nil {
-		return next
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.shouldForward(r) {
-			next(w, r)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJSONBody))
-		if err != nil {
-			httpError(w, badBodyStatus(err), err)
-			return
-		}
-		if key, ok := keyFn(body); ok {
-			if s.forwardToOwner(w, r, key, body) {
-				return
-			}
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-		next(w, r)
-	}
+// traceRouteKey routes POST /v1/jobs by the sha256 of its body. For raw
+// CLTR bodies the key equals the trace digest the server retains, so
+// resubmissions of a profile always land on the node holding its
+// memoized state; multipart bodies hash the whole envelope (boundary
+// included), which is deterministic per request but not per profile —
+// still correct, just without submit affinity.
+func traceRouteKey(body []byte) (string, bool) {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:]), true
 }
 
 // corunRouteKey routes a pair analysis by its sorted digest pair, so

@@ -90,7 +90,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.streamJobs = r.Counter("layoutd_stream_jobs_total",
 		"Submissions analyzed while uploading (feed-mode ingest).")
 	m.streamChunks = r.Counter("layoutd_stream_chunks_total",
-		"Decoded chunks fed into feed-mode analyses, held or streamed.")
+		"Decoded chunks fed into feed-mode analyses while uploading.")
 	m.uploadResumes = r.Counter("layoutd_upload_resumes_total",
 		"Upload appends that resumed a session after an interrupted PATCH.")
 	r.GaugeFunc("layoutd_stream_buffered_bytes",

@@ -60,6 +60,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -217,11 +218,11 @@ type Server struct {
 	progs  map[string]*progEntry
 	nextID atomic.Int64
 
-	// arenas recycles the analysis kernels' buffers across jobs: each
-	// running job borrows one core.Arena, so a steady request stream
-	// reuses the same hot-path allocations instead of re-growing them
-	// per job.
-	arenas sync.Pool
+	// arena recycles the analysis kernels' buffers across jobs. It is
+	// a set of pools, safe for concurrent jobs, so a steady request
+	// stream reuses the same hot-path allocations instead of re-growing
+	// them per job.
+	arena core.Arena
 
 	// optimize is the one optimization pipeline (runOptimize); tests
 	// substitute it to control timing and failure modes.
@@ -407,7 +408,7 @@ func New(cfg Config) *Server {
 	// node named by a job ID). The admin store endpoints and /v1/replicate
 	// never forward: each node answers for its own disk.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.forwardSubmit(s.handleSubmit))
+	mux.HandleFunc("POST /v1/jobs", s.forwardBody(s.cfg.MaxTraceBytes, traceRouteKey, s.handleSubmit))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.forwardJobID(s.handleJob))
 	// The trace route is NOT wrapped in forwardJobID: cross-node trace
 	// assembly (fwdtrace.go) fetches the owner's timeline itself and
@@ -415,9 +416,9 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.forwardJobID(s.handleCancel))
 	mux.HandleFunc("GET /v1/layouts/{digest}", s.forwardDigest(s.handleLayout))
-	mux.HandleFunc("POST /v1/corun", s.forwardJSON(corunRouteKey, s.handleCorun))
+	mux.HandleFunc("POST /v1/corun", s.forwardBody(maxJSONBody, corunRouteKey, s.handleCorun))
 	mux.HandleFunc("GET /v1/corun/{digest}", s.forwardDigest(s.handleCorunDoc))
-	mux.HandleFunc("POST /v1/schedule", s.forwardJSON(scheduleRouteKey, s.handleSchedule))
+	mux.HandleFunc("POST /v1/schedule", s.forwardBody(maxJSONBody, scheduleRouteKey, s.handleSchedule))
 	// Resumable uploads are deliberately not forwarded: a session's
 	// spool lives on the node that created it, so the whole PATCH
 	// sequence and the finalize must land there. The finalized job's
@@ -635,6 +636,32 @@ func badBodyStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// maxBodyPrealloc caps the bytes readBody reserves before a body's
+// payload arrives, as maxHeldPrealloc caps a held trace's references,
+// so a false Content-Length cannot force a large allocation.
+const maxBodyPrealloc = 4 << 20
+
+// readBody reads a whole request body of at most limit bytes into a
+// buffer sized from its Content-Length (up to maxBodyPrealloc; past
+// that it doubles as bytes arrive), so a body that matches its header
+// is copied once. A declared length over the limit is refused before
+// any byte is read, and a body whose length differs from its header
+// fails. badBodyStatus maps every error to its status.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	// MinRead spare bytes let the last read see EOF without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyPrealloc)+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return nil, err
+	}
+	if r.ContentLength >= 0 && int64(buf.Len()) != r.ContentLength {
+		return nil, fmt.Errorf("request body holds %d bytes, not its declared %d", buf.Len(), r.ContentLength)
+	}
+	return buf.Bytes(), nil
 }
 
 // ---- job execution ----
@@ -892,15 +919,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- helpers ----
-
-func (s *Server) getArena() *core.Arena {
-	if a, ok := s.arenas.Get().(*core.Arena); ok {
-		return a
-	}
-	return &core.Arena{}
-}
-
-func (s *Server) putArena(a *core.Arena) { s.arenas.Put(a) }
 
 func (s *Server) storeJob(j *Job) {
 	s.mu.Lock()

@@ -561,6 +561,72 @@ func TestMetricsHistogram(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadBody: the whole-body reader of the forwarding and replication
+// handlers reads a body that matches its Content-Length into a buffer
+// sized once from the header, reads a chunked body (length -1) whole,
+// enforces the limit — a declared length over it gets 413 before any
+// byte is read — and refuses a body shorter than its header with 400.
+func TestReadBody(t *testing.T) {
+	const limit = 1000
+	payload := bytes.Repeat([]byte("layout"), 100) // 600 bytes
+	big := bytes.Repeat([]byte{7}, maxBodyPrealloc+5000)
+	cases := []struct {
+		name     string
+		body     []byte
+		declared int64
+		limit    int64
+		wantCode int // 0: the body reads back whole
+	}{
+		{"exact length", payload, int64(len(payload)), limit, 0},
+		{"chunked", payload, -1, limit, 0},
+		{"past the preallocation cap", big, int64(len(big)), 2 * maxBodyPrealloc, 0},
+		{"over the limit", payload, limit + 1, limit, http.StatusRequestEntityTooLarge},
+		{"chunked over the limit", bytes.Repeat(payload, 2), -1, limit, http.StatusRequestEntityTooLarge},
+		{"shorter than its header", payload, int64(len(payload)) + 10, limit, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := &countingReader{r: bytes.NewReader(c.body)}
+			r := httptest.NewRequest(http.MethodPost, "/", src)
+			r.ContentLength = c.declared
+			got, err := readBody(httptest.NewRecorder(), r, c.limit)
+			if c.wantCode != 0 {
+				if err == nil {
+					t.Fatalf("read %d bytes, want status %d", len(got), c.wantCode)
+				}
+				if code := badBodyStatus(err); code != c.wantCode {
+					t.Fatalf("status %d (%v), want %d", code, err, c.wantCode)
+				}
+				if c.declared > c.limit && src.n > 0 {
+					t.Errorf("read %d bytes of a body declared over the limit", src.n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, c.body) {
+				t.Fatalf("read %d bytes, want the %d sent", len(got), len(c.body))
+			}
+			if c.declared >= 0 && c.declared < maxBodyPrealloc && cap(got) != len(got)+bytes.MinRead {
+				t.Errorf("buffer capacity %d for a %d-byte body: not sized once from its header", cap(got), len(got))
+			}
+		})
+	}
+}
+
 // TestJobTraceTimeline: a finished job exposes its span timeline at
 // /v1/jobs/{id}/trace — pipeline phases nested under the optimize span
 // — and the same phase names land in layoutd_phase_seconds.
@@ -605,14 +671,14 @@ func TestJobTraceTimeline(t *testing.T) {
 	}
 	for _, want := range []string{
 		"queue.wait", "stream.decode", "optimize",
-		"stream.feed", "affinity.hierarchy", "layout.emit", "cachesim.replay",
+		"trace.prune", "affinity.hierarchy", "layout.emit", "cachesim.replay",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("trace missing span %q (have %v)", want, spanNames(tv.Spans))
 		}
 	}
 	opt := byName["optimize"]
-	for _, child := range []string{"stream.feed", "affinity.hierarchy", "layout.emit"} {
+	for _, child := range []string{"trace.prune", "affinity.hierarchy", "layout.emit"} {
 		c, ok := byName[child]
 		if !ok {
 			continue

@@ -29,19 +29,20 @@ import (
 // trace:
 //
 //   - Decoded, it fits Config.StreamWindow: the producer holds it whole,
-//     and the worker analyzes it after the seal — through core.Feed when
-//     the optimizer supports feed mode, else OptimizeCtx — then replays
-//     from it.
+//     and the worker analyzes it in place after the seal with
+//     OptimizeCtx, then replays from it.
 //   - It is larger: a feed-capable worker analyzes it while it uploads,
-//     through a bounded ring (streamRing), so memory stays O(window);
-//     when the analysis falls behind, the producer blocks waiting for a
-//     recycled buffer and TCP backpressure stalls the client. It then
-//     replays the spool. Any other worker decodes the spool after the
-//     seal and replays from that copy.
+//     feeding core.Feed through a bounded ring (streamRing), so memory
+//     stays O(window); when the analysis falls behind, the producer
+//     blocks waiting for a recycled buffer and TCP backpressure stalls
+//     the client. It then replays the spool. Any other worker decodes
+//     the spool after the seal and analyzes and replays that copy as a
+//     held trace.
 //
-// The kernels' deterministic sharded merge makes chunked analysis
-// byte-identical to the buffered pipeline's, so every regime yields the
-// same content-addressed result.
+// So a trace in memory is analyzed in place and only an upload in
+// flight is fed. The kernels' deterministic sharded merge makes the fed
+// analysis byte-identical to the resident one, so every regime yields
+// the same content-addressed result.
 
 const (
 	// streamChunkRefs is the decode granularity: one ring buffer holds
@@ -404,18 +405,17 @@ func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File
 }
 
 // runOptimize is the one optimization pipeline, the worker half of
-// ingest. It waits for the seal — analyzing the ring's chunks as they
-// arrive, when the upload streams — then analyzes the trace it holds,
-// or the spool when it holds none; replays the trace through the
-// original and optimized layouts for the before/after miss ratios; and
-// retains the trace for /v1/corun and /v1/schedule.
+// ingest. It waits for the seal, feeding the ring's chunks to core.Feed
+// as they arrive when the upload streams. Any other trace it analyzes
+// in memory with OptimizeCtx: the one the producer held, or the spool
+// decoded. It then replays the trace through the original and
+// optimized layouts for the before/after miss ratios, and retains the
+// trace for /v1/corun and /v1/schedule.
 func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, error) {
 	opt := req.optimizer()
-	opt.Workers = s.cfg.OptWorkers
-	opt.Arena = s.getArena()
-	defer s.putArena(opt.Arena)
+	opt.Workers, opt.Arena = s.cfg.OptWorkers, &s.arena
 
-	feed, err := s.feedChunks(ctx, opt, req.prog, req.ring.each)
+	feed, err := s.feedRing(ctx, opt, req.prog, req.ring)
 	if feed != nil {
 		s.metrics.streamJobs.Inc()
 		defer feed.Abort() // a no-op once Finish ran
@@ -431,11 +431,6 @@ func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, err
 	tr := req.held
 	if feed == nil && tr == nil {
 		if tr, err = decodeSpool(ctx, req.spool); err != nil {
-			return nil, err
-		}
-	}
-	if feed == nil && opt.FeedSupported(req.prog) {
-		if feed, err = s.feedChunks(ctx, opt, req.prog, heldChunks(tr)); err != nil {
 			return nil, err
 		}
 	}
@@ -473,22 +468,22 @@ func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, err
 	}, nil
 }
 
-// feedChunks runs the feed-mode analysis over src under a stream.feed
-// span. The feed starts with the first chunk, so a source that yields
-// none — the ring of a job that does not stream — returns a nil feed
-// and only the source's error. A feed that fails is aborted.
-func (s *Server) feedChunks(ctx context.Context, opt core.Optimizer, prog *ir.Program, src chunkSource) (*core.Feed, error) {
+// feedRing feeds the ring's chunks to core.Feed as they arrive, under
+// a stream.feed span. The feed starts with the first chunk, so the ring
+// of a job that does not stream returns a nil feed and only the
+// upload's error. The caller finishes or aborts a non-nil feed, failed
+// or not.
+func (s *Server) feedRing(ctx context.Context, opt core.Optimizer, prog *ir.Program, rg *streamRing) (*core.Feed, error) {
 	var feed *core.Feed
 	var sp obs.Span
 	var chunks int64
-	err := src(func(c []int32) error {
+	err := rg.each(func(c []int32) error {
 		if feed == nil {
 			sp = obs.StartSpan(ctx, "stream.feed")
-			f, err := opt.NewFeed(ctx, prog)
-			if err != nil {
+			var err error
+			if feed, err = opt.NewFeed(ctx, prog); err != nil {
 				return err
 			}
-			feed = f
 		}
 		chunks++
 		s.metrics.streamChunks.Inc()
@@ -496,9 +491,6 @@ func (s *Server) feedChunks(ctx context.Context, opt core.Optimizer, prog *ir.Pr
 	})
 	sp.SetAttr("chunks", chunks)
 	sp.End()
-	if err != nil && feed != nil {
-		feed.Abort()
-	}
 	return feed, err
 }
 

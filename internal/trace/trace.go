@@ -84,14 +84,33 @@ func (t *Trace) IsTrimmed() bool {
 	return true
 }
 
+// AsTrimmed returns t itself when it is already trimmed, else Trimmed():
+// a reader that only reads a trimmed trace, such as an analysis kernel,
+// then copies nothing for a trace its caller trimmed. The result may
+// alias t.
+func (t *Trace) AsTrimmed() *Trace {
+	if t.IsTrimmed() {
+		return t
+	}
+	return t.Trimmed()
+}
+
 // FuncTrace maps a basic-block trace to the trace of enclosing functions
-// and trims it, per Definition 1's trimmed function trace.
+// and trims it, per Definition 1's trimmed function trace. A first pass
+// counts the function switches, so the result, a small fraction of the
+// block trace, is allocated once at its exact length.
 func FuncTrace(p *ir.Program, blocks *Trace) *Trace {
-	out := make([]int32, 0, len(blocks.Syms))
-	prev := int32(-1)
+	n, prev := 0, int32(-1)
 	for _, s := range blocks.Syms {
-		f := int32(p.Blocks[s].Fn)
-		if f != prev {
+		if f := int32(p.Blocks[s].Fn); f != prev {
+			n++
+			prev = f
+		}
+	}
+	out := make([]int32, 0, n)
+	prev = -1
+	for _, s := range blocks.Syms {
+		if f := int32(p.Blocks[s].Fn); f != prev {
 			out = append(out, f)
 			prev = f
 		}

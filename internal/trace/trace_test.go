@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -19,12 +20,19 @@ func TestTrimmed(t *testing.T) {
 		{[]int32{5, 5, 4, 4, 5}, []int32{5, 4, 5}},
 	}
 	for _, c := range cases {
-		got := New(c.in).Trimmed()
+		in := New(c.in)
+		got := in.Trimmed()
 		if !reflect.DeepEqual(got.Syms, c.want) {
 			t.Errorf("Trimmed(%v) = %v, want %v", c.in, got.Syms, c.want)
 		}
 		if !got.IsTrimmed() {
 			t.Errorf("Trimmed(%v) is not trimmed", c.in)
+		}
+		// AsTrimmed gives the same symbols, and is the trace itself
+		// exactly when it is already trimmed.
+		as := in.AsTrimmed()
+		if !slices.Equal(as.Syms, c.want) || (as == in) != in.IsTrimmed() {
+			t.Errorf("AsTrimmed(%v) = %v (same trace: %v), want %v", c.in, as.Syms, as == in, c.want)
 		}
 	}
 }

@@ -183,6 +183,29 @@ func TestResidentBuildCancelAndAlias(t *testing.T) {
 	}
 }
 
+// TestResidentBuildReadsTrimmedInPlace: BuildCtx analyzes a trace that
+// is already trimmed in place, without a copy. At Workers 1 and 2 the
+// build leaves that trace as it was and equals the build from the
+// untrimmed trace.
+func TestResidentBuildReadsTrimmedInPlace(t *testing.T) {
+	tr := phasedTrace(rand.New(rand.NewSource(12)), 3000, 400, 10)
+	want := BuildWorkers(tr, 8, 1)
+	trimmed := tr.Trimmed()
+	before := slices.Clone(trimmed.Syms)
+	for _, workers := range []int{1, 2} {
+		got, err := BuildCtx(context.Background(), trimmed, 8, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(trimmed.Syms, before) {
+			t.Fatalf("workers=%d: the build changed the caller's trimmed trace", workers)
+		}
+		if !reflect.DeepEqual(got.Nodes(), want.Nodes()) || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("workers=%d: the in-place build differs from the untrimmed trace's", workers)
+		}
+	}
+}
+
 // TestFeederMemoryBounded: what a Feeder holds before Finish is
 // bounded by its shard span and the accumulated graph, not by the trace
 // length. 458.sjeng's basic-block profile tiled 8 times (about 2.2M

@@ -1,11 +1,6 @@
 package trg
 
-import (
-	"context"
-
-	"codelayout/internal/obs"
-	"codelayout/internal/trace"
-)
+import "codelayout/internal/trace"
 
 // Params derives the reduction's slot count and the construction's
 // examination window from the cache geometry, following §II-C:
@@ -83,26 +78,5 @@ func (p Params) WindowBlocks() int {
 // the parameter-derived window, reduce it with the parameter-derived
 // slot count, and return the optimized code sequence.
 func Sequence(t *trace.Trace, p Params) []int32 {
-	seq, _ := SequenceCtx(context.Background(), t, p, nil)
-	return seq
-}
-
-// SequenceCtx is Sequence with cancellation (the construction's shard
-// loops poll ctx) and buffer reuse; arena may be nil. The built graph is
-// recycled through the arena once reduced.
-func SequenceCtx(ctx context.Context, t *trace.Trace, p Params, arena *Arena) ([]int32, error) {
-	sp := obs.StartSpan(ctx, "trg.build")
-	g, err := BuildCtx(ctx, t, p.WindowBlocks(), p.Workers, arena)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.SetAttr("nodes", int64(len(g.nodes)))
-	sp.End()
-	rp := obs.StartSpan(ctx, "trg.reduce")
-	seq := Reduce(g, p.Slots())
-	rp.SetAttr("seq_len", int64(len(seq)))
-	rp.End()
-	arena.PutGraph(g)
-	return seq, nil
+	return Reduce(BuildWorkers(t, p.WindowBlocks(), p.Workers), p.Slots())
 }

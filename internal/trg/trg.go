@@ -249,8 +249,9 @@ func BuildWorkers(t *trace.Trace, windowBlocks, workers int) *Graph {
 }
 
 // BuildCtx is BuildWorkers with cancellation and buffer reuse. It is
-// the Feeder run over the resident trimmed trace: the trace is cut in
-// place into one contiguous shard per worker (a single shard at Workers
+// the Feeder run over the resident trimmed trace, t itself when it is
+// already trimmed: the trace is cut in place, and never written, into
+// one contiguous shard per worker (a single shard at Workers
 // 1, or when the trace is too short to split, or the window unbounded),
 // each shard warms a private stack window by replaying the span holding
 // the last windowBlocks distinct symbols before it, so its per-access
@@ -261,7 +262,7 @@ func BuildWorkers(t *trace.Trace, windowBlocks, workers int) *Graph {
 // ctx's error returned. arena may be nil.
 func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, arena *Arena) (*Graph, error) {
 	f := NewFeeder(ctx, windowBlocks, workers, 0, arena)
-	f.feedResident(t.Trimmed().Syms, workers)
+	f.feedResident(t.AsTrimmed().Syms, workers)
 	return f.Finish(ctx)
 }
 

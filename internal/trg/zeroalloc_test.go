@@ -70,7 +70,7 @@ func BenchmarkBuildShard(b *testing.B) {
 }
 
 // BenchmarkBuildArena measures the full construction with a shared Arena,
-// recycling the result graph each iteration the way SequenceCtx does.
+// recycling the result graph each iteration the way core does.
 func BenchmarkBuildArena(b *testing.B) {
 	tt := zeroAllocTrace()
 	arena := &Arena{}

@@ -6,7 +6,7 @@
 #       Run the kernel benchmarks (affinity stack passes, TRG
 #       construction, footprint curve, co-run simulation, pair
 #       analysis, solo replay, placement solver, streaming decode and
-#       feed) with -benchmem and write one JSON document with ns/op,
+#       feed, resident analysis) with -benchmem and write one JSON document with ns/op,
 #       B/op and allocs/op per benchmark, plus the machine it ran on:
 #       nproc, GOMAXPROCS (the -N suffix go test gives benchmark names,
 #       stripped from the names themselves), the Go version and the
@@ -33,14 +33,16 @@ BENCHTIME=${BENCHTIME:-3x}
 
 # The kernel benchmarks the harness tracks, one per analysis subsystem
 # (the TRG reduction on a basic-block-scale graph among them), the
-# suite-scale bb-affinity and bb-trg feeds as layoutd runs them, plus the
-# end-to-end worker sweeps in the root package, the /v1/corun pair
+# suite-scale bb-affinity and bb-trg feeds as layoutd runs them on an
+# upload in flight, the same two jobs through OptimizeCtx as layoutd runs
+# them on a trace it holds (OptimizeResident), plus the end-to-end
+# worker sweeps in the root package, the /v1/corun pair
 # analysis (its six co-run simulations over four resolved streams, both
 # footprint curves and its parts), the two solo replays a job runs, the
 # runtime-telemetry sampler tick, which fires for the process lifetime,
 # and the streaming decode over uniform and suite-like symbols.
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkBuildHierarchyArena|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEndDropped|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamDecodeClustered|BenchmarkStreamFeed|BenchmarkRuntimeSamplerTick|BenchmarkComputePair|BenchmarkSoloStream)$'
-PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/server ./internal/cachesim'
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkBuildHierarchyArena|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEndDropped|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamDecodeClustered|BenchmarkStreamFeed|BenchmarkRuntimeSamplerTick|BenchmarkComputePair|BenchmarkSoloStream|BenchmarkOptimizeResident)$'
+PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/server ./internal/cachesim ./internal/core'
 
 # The benchmarks gated at zero allocations: the affinity stack passes
 # and the TRG interleaving scan once warm, the observability hot paths
