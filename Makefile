@@ -34,11 +34,18 @@ race:
 
 # Race stress: the job-lifecycle, cache and ring tests — including
 # TestCancelQueuedJob and TestJobTraceTimeline, which used to flake
-# under load, the cache hit answered at an upload's seal, and the
-# DELETE of a running co-run or schedule, whose 202 once raced its
-# worker — repeated under the race detector.
-RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestScheduleCancelMidMatrix|TestCorunCancelRunning|TestRing.*)$$
+# under load, the cache hit answered at an upload's seal, the DELETE of
+# a running co-run or schedule, whose 202 once raced its worker, and
+# every job kind's admission, queued cancel and queued expiry —
+# repeated under the race detector. Each name must match a test listed
+# by `go test -list`, so a renamed test fails the target instead of
+# silently dropping out of the run.
+RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestScheduleCancelMidMatrix|TestCorunCancelRunning|TestLifecycleEveryKind|TestRing.*)$$
 race-stress:
+	@tests=$$($(GO) test -list . ./internal/server ./internal/obs) || { echo "$$tests" >&2; exit 1; }; \
+	echo '$(RACE_STRESS)' | sed -e 's/^\^(//' -e 's/)\$$$$//' | tr '|' '\n' | while read -r name; do \
+		echo "$$tests" | grep -Eq "^$$name\$$" || { echo "race-stress: $$name matches no test" >&2; exit 1; }; \
+	done
 	$(GO) test -race -count=20 -run '$(RACE_STRESS)' ./internal/server ./internal/obs
 
 # Fuzz smoke: every native fuzz target in the module, found with

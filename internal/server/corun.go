@@ -82,19 +82,9 @@ type CorunDoc struct {
 	// PeerLaps reports how many times each side's wrapping peer restarted
 	// during the deployed-pairing simulation (A's run, then B's).
 	PeerLaps [2]int `json:"peerLaps"`
-	// ElapsedMS is the analysis wall time (0 for cache hits).
+	// ElapsedMS is the wall time of the run that computed the document;
+	// a cache hit returns the stored document with that run's time.
 	ElapsedMS float64 `json:"elapsedMS"`
-}
-
-// corunJobRequest carries a validated /v1/corun job to its pool worker.
-type corunJobRequest struct {
-	a, b     *corunEntry
-	cfg      cachesim.Config
-	deadline time.Time
-	// ctx is the job's lifetime context; DELETE /v1/jobs/{id} cancels it
-	// even after the job started — co-run and schedule jobs are
-	// cancelable mid-run, unlike optimizations.
-	ctx context.Context
 }
 
 // corunEntry is one digest's materialized inputs: the cached result, the
@@ -231,15 +221,10 @@ func corunConfig(c *cachesim.Config) (cachesim.Config, error) {
 // handleCorun is POST /v1/corun: analyze a pair of cached layouts
 // sharing a cache. Pair documents are content-addressed, so a repeated
 // pairing (in either order) completes instantly from the cache;
-// otherwise the analysis runs as an async job with the same
-// backpressure, deadline, and cancellation rules as optimizations.
+// otherwise the analysis runs as an async job through the lifecycle
+// every job kind shares, and can be canceled while it runs.
 func (s *Server) handleCorun(w http.ResponseWriter, r *http.Request) {
-	traceID := requestTraceID(r)
-	logger := s.logger.With("trace_id", traceID)
-	rec := obs.NewRecorder(s.cfg.SpanBufferSize)
-	rec.SetDropHook(s.metrics.spansDropped.Inc)
-	ctx := obs.WithTraceID(obs.WithLogger(obs.WithRecorder(r.Context(), rec), logger), traceID)
-
+	ctx, sub := s.newSubmissionCtx(r)
 	var req corunRequest
 	if err := readJSON(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -262,71 +247,31 @@ func (s *Server) handleCorun(w http.ResponseWriter, r *http.Request) {
 	a, b := pair[0], pair[1]
 	s.metrics.corunJobs.Inc()
 
-	jr := &corunJobRequest{a: a, b: b, cfg: cfg, deadline: time.Now().Add(s.cfg.JobTimeout)}
 	key := corunDigest(a.res.Digest, b.res.Digest, cfg)
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	jr.ctx = jobCtx
-
-	j := &Job{
-		id:       s.newJobID(),
-		kind:     jobKindCorun,
-		status:   StatusQueued,
-		digest:   key,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  traceID,
-		rec:      rec,
-		progName: a.res.Prog + "+" + b.res.Prog,
-		optName:  a.res.Optimizer + "+" + b.res.Optimizer,
-	}
-	j.logger = logger.With("job", j.id)
-
+	sub.progName = a.res.Prog + "+" + b.res.Prog
+	sub.optName = a.res.Optimizer + "+" + b.res.Optimizer
+	j := s.newJob(sub, jobKindCorun, key)
 	if doc, ok := s.pairs.get(ctx, key); ok {
 		s.metrics.pairHits.Inc()
-		j.cached = true
-		s.finish(j, StatusDone, doc, nil)
-		s.storeJob(j)
-		s.metrics.accepted.Inc()
-		writeJSON(w, http.StatusOK, j.view())
+		s.answerCached(w, j, doc)
 		return
 	}
 	s.metrics.pairMisses.Inc()
-
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runCorunJob(poolCtx, j, jr)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
-		s.metrics.rejected.Inc()
-		logger.Warn("corun job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
+	if !s.admit(w, j, func(ctx context.Context) (any, error) {
+		start := time.Now()
+		doc, err := s.pairAnalysis(ctx, cfg, a, b, s.cfg.OptWorkers)
+		if err != nil {
+			return nil, err
+		}
+		doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+		s.pairs.put(ctx, doc.Digest, doc)
+		return doc, nil
+	}, nil) {
 		return
 	}
-	s.metrics.accepted.Inc()
 	j.logger.Info("corun job accepted",
 		"a", req.A, "b", req.B, "pair", key, "cache", cfg)
 	writeJSON(w, http.StatusAccepted, j.view())
-}
-
-// runCorunJob is the pool task behind POST /v1/corun.
-func (s *Server) runCorunJob(poolCtx context.Context, j *Job, req *corunJobRequest) {
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	doc, err := s.pairAnalysis(ctx, req.cfg, req.a, req.b, s.cfg.OptWorkers)
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.pairs.put(ctx, doc.Digest, doc)
-	s.finish(j, StatusDone, doc, nil)
 }
 
 // computePair runs the six co-run simulations behind a pair document —

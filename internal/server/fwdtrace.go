@@ -21,10 +21,10 @@ import (
 // span timeline, and merges the local forward spans into one document —
 // one trace ID, per-span node attribution, one shared time base.
 
-// DefaultForwardLog bounds the jobs with retained forward spans. FIFO
+// forwardLogJobs bounds the jobs with retained forward spans. FIFO
 // eviction: traces are a debugging aid with the same retention spirit
 // as the debug-jobs ring, not durable state.
-const DefaultForwardLog = 512
+const forwardLogJobs = 512
 
 // maxForwardedBody caps how much of a forwarded response we buffer to
 // learn the job ID; submissions' job views are small, so overflow means
@@ -47,11 +47,8 @@ type forwardLog struct {
 	order *obs.Ring[string] // job IDs, oldest evicted first
 }
 
-func newForwardLog(capacity int) *forwardLog {
-	if capacity <= 0 {
-		capacity = DefaultForwardLog
-	}
-	return &forwardLog{byJob: make(map[string][]forwardSpan), order: obs.NewRing[string](capacity)}
+func newForwardLog() *forwardLog {
+	return &forwardLog{byJob: make(map[string][]forwardSpan), order: obs.NewRing[string](forwardLogJobs)}
 }
 
 func (l *forwardLog) record(jobID string, fs forwardSpan) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"codelayout/internal/core"
-	"codelayout/internal/ir"
 	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 )
@@ -32,7 +31,8 @@ type Result struct {
 	MissBefore    float64 `json:"missBefore"`
 	MissAfter     float64 `json:"missAfter"`
 	MissReduction float64 `json:"missReduction"`
-	// ElapsedMS is the optimization wall time (0 for cache hits).
+	// ElapsedMS is the wall time of the run that computed the result; a
+	// cache hit returns the stored result with that run's time.
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
@@ -61,19 +61,11 @@ const (
 )
 
 // jobRequest carries one optimization job from its handler to its
-// worker. The handler fills in what the upload reveals — the digests,
-// the size, the held trace — before it closes the ring, and the worker
-// reads them only once it has drained the ring.
+// worker: its submission, and what the upload reveals — the digests,
+// the size, the held trace — which the handler fills in before it
+// closes the ring and the worker reads once it has drained the ring.
 type jobRequest struct {
-	prog      *ir.Program
-	progName  string
-	opt       core.Optimizer
-	pruneTopN int
-	deadline  time.Time
-	// ctx is the job's own lifetime context; DELETE /v1/jobs/{id} and
-	// the job's finish cancel it, so the pipeline stops even if the job
-	// slipped into running between the status check and the cancel.
-	ctx context.Context
+	*submission
 
 	// ring carries the upload to the worker; its closing is the seal.
 	// spool is the raw upload on disk, which the job owns.
@@ -107,9 +99,9 @@ func (req *jobRequest) dispose() {
 }
 
 // Job is one submission's mutable state. All fields behind mu except
-// the observability handles (traceID, rec, logger), which are set once
-// at creation and read-only after; the JSON view is built under the
-// lock.
+// the lifetime (ctx, cancel, deadline) and the observability
+// handles (traceID, rec, logger), which are set once at creation and
+// read-only after; the JSON view is built under the lock.
 type Job struct {
 	mu       sync.Mutex
 	id       string
@@ -124,9 +116,13 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	// cancel tears down the job's context (jobRequest.ctx); set for
-	// every queued job, called by DELETE and by job completion.
-	cancel func()
+	// ctx is the job's own lifetime context, which its pipeline context
+	// derives from; cancel tears it down, called by DELETE and by the
+	// job's finish. deadline bounds the job from its creation, queue
+	// wait included.
+	ctx      context.Context
+	cancel   func()
+	deadline time.Time
 
 	// traceID correlates every log line, span, and debug summary the
 	// job produces.

@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"codelayout/internal/core"
 	"codelayout/internal/obs"
+	"codelayout/internal/store"
 )
 
 // debugRingCount counts the /v1/debug/jobs summaries for one job.
@@ -73,9 +76,8 @@ func TestCanceledQueuedJobStaysCanceled(t *testing.T) {
 	s.mu.Lock()
 	j := s.jobs[v2.ID]
 	s.mu.Unlock()
-	reqCtx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, ok := s.beginJob(context.Background(), j, time.Now().Add(-time.Second), reqCtx); ok {
+	j.deadline = time.Now().Add(-time.Second) // the DELETE fired j.ctx
+	if _, _, ok := s.beginJob(context.Background(), j); ok {
 		t.Fatal("worker started a canceled job")
 	}
 	if st := j.statusNow(); st != StatusCanceled {
@@ -108,6 +110,7 @@ func TestFinishPublishesStatusLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &Job{id: "job-1", status: StatusQueued, created: time.Now(),
+		ctx: context.Background(), deadline: time.Now().Add(time.Minute),
 		rec: obs.NewRecorder(16), logger: obs.NopLogger}
 	var fired bool
 	var problems []string
@@ -132,9 +135,9 @@ func TestFinishPublishesStatusLast(t *testing.T) {
 			problems = append(problems, "no debug-ring summary")
 		}
 	}
-	s.runJob(context.Background(), j, &jobRequest{
-		opt: opt, digest: testKey(1), deadline: time.Now().Add(time.Minute), ctx: context.Background(),
-	})
+	s.runJob(context.Background(), j, func(ctx context.Context) (any, error) {
+		return s.optimizeJob(ctx, &jobRequest{submission: &submission{opt: opt}, digest: testKey(1)})
+	}, nil)
 	if st := j.statusNow(); st != StatusDone {
 		t.Fatalf("job ended %q", st)
 	}
@@ -187,5 +190,148 @@ func TestCancelAnswersCanceling(t *testing.T) {
 	}
 	if _, ok := j.startCancel(StatusRunning); ok {
 		t.Error("startCancel accepted a settled job")
+	}
+}
+
+// TestLifecycleEveryKind: optimize, co-run and schedule jobs share one
+// admission and one pool task. Behind a blocked worker and a full
+// queue, each kind answers 429 with Retry-After, counts the rejection,
+// tracks no job for it and leaves no spool behind; a queued job
+// deleted finishes canceled, counted once with one debug summary; and
+// a queued job whose deadline passes finishes failed.
+func TestLifecycleEveryKind(t *testing.T) {
+	raw, _ := recordedTrace(t)
+	post := func(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doReq(t, http.MethodPost, ts.URL+path, data, map[string]string{"Content-Type": "application/json"})
+	}
+	kinds := []struct {
+		name string
+		// submit posts the n-th job of the kind over the layouts a and
+		// b; each optimization is its own content address.
+		submit func(t *testing.T, ts *httptest.Server, a, b string, n int) (*http.Response, []byte)
+	}{
+		{"optimize", func(t *testing.T, ts *httptest.Server, _, _ string, n int) (*http.Response, []byte) {
+			query := fmt.Sprintf("prog=%s&opt=func-affinity&prune=%d", testProg, 500+n)
+			return doReq(t, http.MethodPost, ts.URL+"/v1/jobs?"+query, raw, nil)
+		}},
+		{"corun", func(t *testing.T, ts *httptest.Server, a, b string, _ int) (*http.Response, []byte) {
+			return post(t, ts, "/v1/corun", map[string]string{"a": a, "b": b})
+		}},
+		{"schedule", func(t *testing.T, ts *httptest.Server, a, b string, _ int) (*http.Response, []byte) {
+			return post(t, ts, "/v1/schedule", map[string]any{
+				"digests":  []string{a, b},
+				"topology": map[string]int{"domains": 2, "slotsPerDomain": 1},
+			})
+		}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			// Spools land beside the upload sessions, so this test's
+			// directory holds every one the server makes.
+			up, err := store.NewUploads(filepath.Join(t.TempDir(), "uploads"), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 2, OptWorkers: 1, Uploads: up})
+			spools := func() []string {
+				m, err := filepath.Glob(filepath.Join(up.Dir(), "stream-*.cltr"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			var a, b string
+			if k.name != "optimize" {
+				a, b = submitDone(t, ts, "func-affinity"), submitDone(t, ts, "func-trg")
+			}
+
+			// An optimization occupies the one worker until released.
+			started := make(chan struct{}, 1)
+			release := make(chan struct{})
+			real := s.optimize
+			s.optimize = func(ctx context.Context, req *jobRequest) (*Result, error) {
+				started <- struct{}{}
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				return real(ctx, req)
+			}
+			blocker, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-callgraph")
+			if code != http.StatusAccepted {
+				close(release)
+				t.Fatalf("blocker status %d", code)
+			}
+			<-started
+			queued := func(n int) jobView {
+				t.Helper()
+				resp, body := k.submit(t, ts, a, b, n)
+				var v jobView
+				if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &v) != nil {
+					close(release)
+					t.Fatalf("submit %d = %d %s, want 202", n, resp.StatusCode, body)
+				}
+				return v
+			}
+			expiring, canceled := queued(1), queued(2)
+
+			before, tracked := spools(), s.JobsTracked()
+			resp, body := k.submit(t, ts, a, b, 3)
+			if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), "queue full") {
+				t.Errorf("submit on a full queue = %d %s, want 429", resp.StatusCode, body)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+			if got := metricValue(t, ts, "layoutd_jobs_rejected_total"); got != 1 {
+				t.Errorf("jobs_rejected_total = %v, want 1", got)
+			}
+			if got := s.JobsTracked(); got != tracked {
+				t.Errorf("JobsTracked = %d after the rejection, want %d", got, tracked)
+			}
+			if after := spools(); len(after) != len(before) {
+				t.Errorf("spools %v after the rejection, want %v", after, before)
+			}
+
+			if v, code := deleteJob(t, ts, canceled.ID); code != http.StatusOK || v.Status != StatusCanceled {
+				t.Errorf("DELETE queued job = %d %q, want 200 canceled", code, v.Status)
+			}
+			// The worker reads the deadline only once it dequeues the
+			// job, after the release below.
+			s.mu.Lock()
+			s.jobs[expiring.ID].deadline = time.Now().Add(-time.Second)
+			s.mu.Unlock()
+			close(release)
+
+			if v := waitJob(t, ts, expiring.ID); v.Status != StatusFailed || !strings.Contains(v.Error, "job expired before running") {
+				t.Errorf("expired job = %q %q, want failed, expired before running", v.Status, v.Error)
+			}
+			if v := waitJob(t, ts, blocker.ID); v.Status != StatusDone {
+				t.Errorf("blocker = %+v, want done", v)
+			}
+			waitFor(t, 10*time.Second, "the worker to drain the queue", func() bool {
+				return s.pool.QueueDepth() == 0 && s.pool.Running() == 0
+			})
+			if v := waitJob(t, ts, canceled.ID); v.Status != StatusCanceled {
+				t.Errorf("deleted job = %q, want canceled", v.Status)
+			}
+			if got := metricValue(t, ts, "layoutd_jobs_canceled_total"); got != 1 {
+				t.Errorf("jobs_canceled_total = %v, want 1", got)
+			}
+			if got := metricValue(t, ts, "layoutd_jobs_failed_total"); got != 1 {
+				t.Errorf("jobs_failed_total = %v, want 1", got)
+			}
+			if n := debugRingCount(t, s, canceled.ID); n != 1 {
+				t.Errorf("debug ring holds %d summaries of the deleted job, want 1", n)
+			}
+			if left := spools(); len(left) != 0 {
+				t.Errorf("spools left after every job ended: %v", left)
+			}
+		})
 	}
 }

@@ -95,18 +95,13 @@ func TestEventRingBound(t *testing.T) {
 // treats a negative size like zero — the default — rather than
 // panicking on a negative buffer size.
 func TestNegativeRingSizesMeanDefault(t *testing.T) {
-	s := newRetentionServer(t, Config{DebugJobRing: -1, TraceCacheEntries: -1, EventRing: -1, RuntimeRing: -1})
+	s := newRetentionServer(t, Config{TraceCacheEntries: -1, EventRing: -1, RuntimeRing: -1})
 	s.events.record("k", "n", "")
 	if got := len(s.events.snapshot()); got != 1 {
 		t.Fatalf("event ring holds %d, want 1", got)
 	}
 	if s.traces.max != DefaultTraceCacheEntries {
 		t.Fatalf("trace tier bound %d, want %d", s.traces.max, DefaultTraceCacheEntries)
-	}
-	fl := newForwardLog(-1)
-	fl.record("job-1", forwardSpan{peer: "n2"})
-	if got := fl.get("job-1"); len(got) != 1 {
-		t.Fatalf("forward log holds %d spans for the job, want 1", len(got))
 	}
 }
 

@@ -64,19 +64,18 @@ type ScheduleDoc struct {
 	// analyses they ran, and layoutbench's layer replay charges each one
 	// a full pair analysis.
 	PairsComputed int `json:"pairsComputed"`
-	// ElapsedMS is the job wall time (0 for cache hits).
+	// ElapsedMS is the wall time of the run that computed the document;
+	// a cache hit returns the stored document with that run's time.
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
 // scheduleJobRequest carries a validated /v1/schedule job to its worker.
 type scheduleJobRequest struct {
-	digests  []string
-	entries  []*corunEntry // parallel to digests; repeats share pointers
-	topo     schedule.Topology
-	cfg      cachesim.Config
-	key      string
-	deadline time.Time
-	ctx      context.Context
+	digests []string
+	entries []*corunEntry // parallel to digests; repeats share pointers
+	topo    schedule.Topology
+	cfg     cachesim.Config
+	key     string
 }
 
 // scheduleDigest derives the content address of a schedule request. The
@@ -98,12 +97,7 @@ func scheduleDigest(digests []string, topo schedule.Topology, cfg cachesim.Confi
 // any pair whose document the content-addressed pair cache holds and
 // composes the rest from footprint curves.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	traceID := requestTraceID(r)
-	logger := s.logger.With("trace_id", traceID)
-	rec := obs.NewRecorder(s.cfg.SpanBufferSize)
-	rec.SetDropHook(s.metrics.spansDropped.Inc)
-	ctx := obs.WithTraceID(obs.WithLogger(obs.WithRecorder(r.Context(), rec), logger), traceID)
-
+	ctx, sub := s.newSubmissionCtx(r)
 	var req scheduleRequest
 	if err := readJSON(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -137,78 +131,32 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.metrics.scheduleJobs.Inc()
 
 	jr := &scheduleJobRequest{
-		digests:  req.Digests,
-		entries:  entries,
-		topo:     req.Topology,
-		cfg:      cfg,
-		key:      scheduleDigest(req.Digests, req.Topology, cfg),
-		deadline: time.Now().Add(s.cfg.JobTimeout),
+		digests: req.Digests,
+		entries: entries,
+		topo:    req.Topology,
+		cfg:     cfg,
+		key:     scheduleDigest(req.Digests, req.Topology, cfg),
 	}
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	jr.ctx = jobCtx
-
-	j := &Job{
-		id:       s.newJobID(),
-		kind:     jobKindSchedule,
-		status:   StatusQueued,
-		digest:   jr.key,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  traceID,
-		rec:      rec,
-		progName: fmt.Sprintf("schedule[%d]", len(req.Digests)),
-	}
-	j.logger = logger.With("job", j.id)
-
+	sub.progName = fmt.Sprintf("schedule[%d]", len(req.Digests))
+	j := s.newJob(sub, jobKindSchedule, jr.key)
 	if doc, ok := s.schedules.get(ctx, jr.key); ok {
-		j.cached = true
-		s.finish(j, StatusDone, doc, nil)
-		s.storeJob(j)
-		s.metrics.accepted.Inc()
-		writeJSON(w, http.StatusOK, j.view())
+		s.answerCached(w, j, doc)
 		return
 	}
-
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runScheduleJob(poolCtx, j, jr)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
-		s.metrics.rejected.Inc()
-		logger.Warn("schedule job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
+	if !s.admit(w, j, func(ctx context.Context) (any, error) { return s.scheduleJob(ctx, jr) }, nil) {
 		return
 	}
-	s.metrics.accepted.Inc()
 	j.logger.Info("schedule job accepted",
 		"digests", len(req.Digests), "topology", req.Topology, "key", jr.key)
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
-// runScheduleJob is the pool task behind POST /v1/schedule: assemble the
-// interference matrix (one cost per distinct digest pair, read from the
-// pair cache or composed), then solve the placement.
-func (s *Server) runScheduleJob(poolCtx context.Context, j *Job, req *scheduleJobRequest) {
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
+// scheduleJob is a schedule job's work: assemble the interference
+// matrix (one cost per distinct digest pair, read from the pair cache
+// or composed), solve the placement, and put the timed document in the
+// schedule cache.
+func (s *Server) scheduleJob(ctx context.Context, req *scheduleJobRequest) (any, error) {
 	start := time.Now()
-	doc, err := s.computeSchedule(ctx, req)
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.schedules.put(ctx, req.key, doc)
-	s.finish(j, StatusDone, doc, nil)
-}
-
-func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (*ScheduleDoc, error) {
 	n := len(req.entries)
 	msp := obs.StartSpan(ctx, "schedule.matrix")
 
@@ -327,6 +275,8 @@ func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (
 	if worstKnown {
 		doc.WorstCost = worst.Cost
 	}
+	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	s.schedules.put(ctx, req.key, doc)
 	return doc, nil
 }
 

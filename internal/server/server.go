@@ -11,6 +11,12 @@
 // so resubmitting the same profile answers 200 at once and never
 // recomputes. Only a miss reaches a worker.
 //
+// Optimizations, co-run pair analyses and schedules share one job
+// lifecycle: newJob stamps the job's deadline, admit queues it or
+// answers 429, a document its kind's cache holds answers 200 at once,
+// and runJob, every kind's pool task, runs the kind's work and
+// finishes the job. Only the work differs by kind.
+//
 // A trace whose decoded form fits Config.StreamWindow is held whole and
 // analyzed after the seal. A larger one is analyzed while it uploads
 // when the optimizer supports feed mode: decoded chunks flow through a
@@ -125,9 +131,6 @@ type Config struct {
 	// are dropped and counted in layoutd_spans_dropped_total. 0 means
 	// obs.DefaultSpanCapacity.
 	SpanBufferSize int
-	// DebugJobRing bounds the recent-job summaries at /v1/debug/jobs;
-	// 0 means DefaultDebugJobRing.
-	DebugJobRing int
 	// TraceCacheEntries bounds the in-memory tier of retained decoded
 	// traces (the inputs /v1/corun and /v1/schedule replay); 0 means
 	// DefaultTraceCacheEntries. With a Store, evicted traces remain
@@ -277,9 +280,6 @@ func New(cfg Config) *Server {
 	if cfg.TraceCacheEntries <= 0 {
 		cfg.TraceCacheEntries = DefaultTraceCacheEntries
 	}
-	if cfg.DebugJobRing <= 0 {
-		cfg.DebugJobRing = DefaultDebugJobRing
-	}
 	if cfg.StreamWindow <= 0 {
 		cfg.StreamWindow = DefaultStreamWindow
 	}
@@ -307,10 +307,10 @@ func New(cfg Config) *Server {
 		uploads:   cfg.Uploads,
 		cluster:   cfg.Cluster,
 		logger:    cfg.Logger,
-		ring:      obs.NewRing[jobSummary](cfg.DebugJobRing),
+		ring:      obs.NewRing[jobSummary](debugJobRing),
 		events:    newEventRing(cfg.EventRing),
 		runtime:   obs.NewRuntimeSampler(cfg.RuntimeSampleInterval, cfg.RuntimeRing),
-		fwdlog:    newForwardLog(0),
+		fwdlog:    newForwardLog(),
 		jobs:      make(map[string]*Job),
 		progs:     make(map[string]*progEntry),
 	}
@@ -478,9 +478,10 @@ func (s *Server) StoreState() (store.State, bool) {
 
 // ---- submission ----
 
-// submission bundles one job submission's validated parameters and
-// observability handles, for the ingest behind POST /v1/jobs and the
-// resumable-upload finalize.
+// submission bundles one job submission's observability handles and
+// the names its debug summary shows; newJob mints every job from one.
+// An optimization's also carries its validated parameters, for the
+// ingest behind POST /v1/jobs and the resumable-upload finalize.
 type submission struct {
 	traceID string
 	rec     *obs.Recorder
@@ -666,14 +667,101 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 
 // ---- job execution ----
 
-// beginJob is the shared front half of every pool task: move the job
-// to running, record its queue wait into its timeline, and bind the
-// deadline and the job's own context (DELETE cancellation) onto the
-// pipeline context. It reports false if the work must be skipped —
-// canceled while queued (the DELETE handler finished it), or expired in
-// the queue (finished here as failed); on true the caller owns cleanup
-// and must defer it.
-func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, reqCtx context.Context) (context.Context, func(), bool) {
+// newJob mints a queued job of kind for sub, under its content address
+// when the request already names it: the job's own cancelable context,
+// and its deadline, JobTimeout after its creation, so queue wait counts
+// against it.
+func (s *Server) newJob(sub *submission, kind, digest string) *Job {
+	ctx, cancel := context.WithCancel(context.Background())
+	now := time.Now()
+	j := &Job{
+		id:       s.newJobID(),
+		kind:     kind,
+		status:   StatusQueued,
+		digest:   digest,
+		created:  now,
+		ctx:      ctx,
+		cancel:   cancel,
+		deadline: now.Add(s.cfg.JobTimeout),
+		traceID:  sub.traceID,
+		rec:      sub.rec,
+		progName: sub.progName,
+		optName:  sub.optName,
+	}
+	j.logger = sub.logger.With("job", j.id)
+	return j
+}
+
+// jobWork is what one job kind does once its job runs: an
+// optimization, a pair analysis or a schedule. It runs on the job's
+// pipeline context, times itself into its document, puts the document
+// in its kind's cache and returns it.
+type jobWork func(ctx context.Context) (any, error)
+
+// admit stores a queued job and submits runJob as its pool task. On a
+// full queue it drops and cancels the job, counts the rejection and
+// answers 429 with Retry-After; it reports whether the job was
+// admitted.
+func (s *Server) admit(w http.ResponseWriter, j *Job, work jobWork, release func()) bool {
+	s.storeJob(j)
+	if s.pool.TrySubmit(func(poolCtx context.Context) { s.runJob(poolCtx, j, work, release) }) {
+		s.metrics.accepted.Inc()
+		return true
+	}
+	s.mu.Lock()
+	delete(s.jobs, j.id)
+	s.mu.Unlock()
+	j.cancel()
+	s.metrics.rejected.Inc()
+	j.logger.Warn("job rejected: queue full", "kind", j.kind)
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
+	return false
+}
+
+// answerCached answers a co-run or schedule submission whose document
+// its cache holds: the job finishes done and cached before it is
+// stored, and the request gets 200 with it. The hit is accepted but
+// never queued.
+func (s *Server) answerCached(w http.ResponseWriter, j *Job, doc any) {
+	j.cached = true
+	s.finish(j, StatusDone, doc, nil)
+	s.storeJob(j)
+	s.metrics.accepted.Inc()
+	writeJSON(w, http.StatusOK, j.view())
+}
+
+// runJob is every job's pool task: start the job, run its kind's work
+// and finish the job with the work's document or error. release, when
+// set, frees what the work holds (an optimization's upload) once the
+// task ends, run or not; the job never holds it, so nothing of the work
+// outlives the task. The job's recorder, logger and trace ID ride the
+// pipeline context from here down.
+func (s *Server) runJob(poolCtx context.Context, j *Job, work jobWork, release func()) {
+	if release != nil {
+		defer release()
+	}
+	ctx, cleanup, ok := s.beginJob(poolCtx, j)
+	if !ok {
+		return
+	}
+	defer cleanup()
+	doc, err := work(ctx)
+	if err != nil {
+		s.failOrCancel(j, err)
+		return
+	}
+	s.finish(j, StatusDone, doc, nil)
+}
+
+// beginJob is the front half of runJob: move the job to running,
+// record its queue wait into its timeline, and derive the pipeline
+// context from the job's own, so a cancel reaches the pipeline the
+// moment it fires, bounded by the deadline and stopped with the pool.
+// It reports false if the work must be skipped — canceled while queued
+// (the DELETE handler finished it), or expired in the queue (finished
+// here as failed); on true the caller owns cleanup and must defer it.
+func (s *Server) beginJob(poolCtx context.Context, j *Job) (context.Context, func(), bool) {
 	if !j.tryStart() {
 		return nil, nil, false
 	}
@@ -683,13 +771,15 @@ func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, r
 	if j.rec != nil {
 		j.rec.Record("queue.wait", j.created, time.Since(j.created))
 	}
-	ctx, cancel := context.WithDeadline(poolCtx, deadline)
-	// Propagate a DELETE arriving after the job started into the
-	// pipeline context.
-	stop := context.AfterFunc(reqCtx, cancel)
+	ctx, cancel := context.WithDeadline(j.ctx, j.deadline)
+	stop := context.AfterFunc(poolCtx, cancel)
 	cleanup := func() { stop(); cancel() }
 	ctx = obs.WithTraceID(obs.WithLogger(obs.WithRecorder(ctx, j.rec), j.logger), j.traceID)
-	if err := ctx.Err(); err != nil {
+	err := ctx.Err()
+	if err == nil {
+		err = poolCtx.Err() // the AfterFunc cancels ctx only later
+	}
+	if err != nil {
 		cleanup()
 		s.finish(j, StatusFailed, nil, fmt.Errorf("job expired before running: %w", err))
 		return nil, nil, false
@@ -708,32 +798,6 @@ func (s *Server) failOrCancel(j *Job, err error) {
 		status, err = StatusCanceled, errors.New("canceled while running")
 	}
 	s.finish(j, status, nil, err)
-}
-
-// runJob is the pool task behind every optimization job: run the
-// pipeline and publish the result to the content-addressed cache. The
-// job's recorder, logger, and trace ID ride the pipeline context from
-// here down.
-func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
-	defer req.dispose()
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	sp := obs.StartSpan(ctx, "optimize")
-	res, err := s.optimize(ctx, req)
-	sp.End()
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	elapsed := time.Since(start)
-	res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cache.put(ctx, res.Digest, res)
-	s.metrics.latency.With(req.opt.Name()).Observe(res.ElapsedMS)
-	s.finish(j, StatusDone, res, nil)
 }
 
 // finish is the single exit point for every job. Exactly one call
@@ -963,12 +1027,6 @@ func (s *Server) JobsTracked() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.jobs)
-}
-
-func (s *Server) dropJob(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
 }
 
 // program generates (once) and returns the named suite program.

@@ -263,6 +263,10 @@ func TestCacheHit(t *testing.T) {
 	if v2.Digest != v1.Digest {
 		t.Fatalf("digest changed across identical submissions: %s vs %s", v2.Digest, v1.Digest)
 	}
+	if v2.Result.ElapsedMS != first.Result.ElapsedMS {
+		t.Errorf("hit elapsedMS = %v, want the stored %v of the run that computed it",
+			v2.Result.ElapsedMS, first.Result.ElapsedMS)
+	}
 	if got := metricValue(t, ts, "layoutd_cache_hits_total"); got != 1 {
 		t.Fatalf("cache_hits_total = %v, want 1", got)
 	}

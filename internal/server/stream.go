@@ -24,7 +24,7 @@ import (
 // The handler admits the job to the pool before it reads the body, then
 // runs the one producer (streamProduce), and at the seal — the content
 // address now known — answers a cache hit itself with 200. A miss
-// answers 202 and leaves the job to its worker, runJob → runOptimize.
+// answers 202 and leaves the job to runJob, whose work is runOptimize.
 // The CLTR header's declared count decides how that worker reads the
 // trace:
 //
@@ -253,46 +253,15 @@ func (s *Server) spoolDir() string {
 // (finalize passes nil: the sealed upload already is the spool). Once
 // admitted, the job owns spool.
 func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, sub *submission, body io.Reader, tee *os.File, spool string) {
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	req := &jobRequest{
-		prog:      sub.prog,
-		progName:  sub.progName,
-		opt:       sub.opt,
-		pruneTopN: sub.pruneTopN,
-		deadline:  time.Now().Add(s.cfg.JobTimeout),
-		ctx:       jobCtx,
-		ring:      newStreamRing(s.cfg.StreamWindow),
-		spool:     spool,
-	}
-	j := &Job{
-		id:       s.newJobID(),
-		status:   StatusQueued,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  sub.traceID,
-		rec:      sub.rec,
-		progName: sub.progName,
-		optName:  sub.optName,
-	}
-	j.logger = sub.logger.With("job", j.id)
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runJob(poolCtx, j, req)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
+	req := &jobRequest{submission: sub, ring: newStreamRing(s.cfg.StreamWindow), spool: spool}
+	j := s.newJob(sub, jobKindOptimize, "")
+	if !s.admit(w, j, func(ctx context.Context) (any, error) { return s.optimizeJob(ctx, req) }, req.dispose) {
 		if tee != nil {
 			tee.Close()
 		}
 		os.Remove(spool)
-		s.metrics.rejected.Inc()
-		sub.logger.Warn("job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
 		return
 	}
-	s.metrics.accepted.Inc()
 
 	err := s.streamProduce(ctx, body, tee, req)
 	if tee != nil {
@@ -404,6 +373,22 @@ func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File
 	return nil
 }
 
+// optimizeJob is an optimization job's work: the pipeline under an
+// optimize span, its result timed and put in the result cache.
+func (s *Server) optimizeJob(ctx context.Context, req *jobRequest) (any, error) {
+	start := time.Now()
+	sp := obs.StartSpan(ctx, "optimize")
+	res, err := s.optimize(ctx, req)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	s.cache.put(ctx, res.Digest, res)
+	s.metrics.latency.With(req.opt.Name()).Observe(res.ElapsedMS)
+	return res, nil
+}
+
 // runOptimize is the one optimization pipeline, the worker half of
 // ingest. It waits for the seal, feeding the ring's chunks to core.Feed
 // as they arrive when the upload streams. Any other trace it analyzes
@@ -421,9 +406,10 @@ func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, err
 		defer feed.Abort() // a no-op once Finish ran
 	}
 	if err == nil {
-		// Only another owner's finish cancels the job's own context: a
-		// hit at the seal does so before it closes the ring.
-		err = req.ctx.Err()
+		// ctx derives from the job's own context, which another owner's
+		// finish cancels: a hit at the seal does so before it closes the
+		// ring.
+		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, err
