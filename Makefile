@@ -36,11 +36,12 @@ race:
 # TestCancelQueuedJob and TestJobTraceTimeline, which used to flake
 # under load, the cache hit answered at an upload's seal, the DELETE of
 # a running co-run or schedule, whose 202 once raced its worker, and
-# every job kind's admission, queued cancel and queued expiry —
+# every job kind's admission, queued cancel and queued expiry, and the
+# finish order that finishJob writes while storeJob prunes it —
 # repeated under the race detector. Each name must match a test listed
 # by `go test -list`, so a renamed test fails the target instead of
 # silently dropping out of the run.
-RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestScheduleCancelMidMatrix|TestCorunCancelRunning|TestLifecycleEveryKind|TestRing.*)$$
+RACE_STRESS = ^(TestCancelQueuedJob|TestJobTraceTimeline|TestCanceledQueuedJobStaysCanceled|TestFinishPublishesStatusLast|TestTerminalStatusIsFinal|TestTieredCacheKinds|TestSealHitAnswersPost|TestSealHitWithWorkerStarted|TestInflightBytesDefaultPath|TestScheduleCancelMidMatrix|TestCorunCancelRunning|TestLifecycleEveryKind|TestJobRetentionOrder|TestRing.*)$$
 race-stress:
 	@tests=$$($(GO) test -list . ./internal/server ./internal/obs) || { echo "$$tests" >&2; exit 1; }; \
 	echo '$(RACE_STRESS)' | sed -e 's/^\^(//' -e 's/)\$$$$//' | tr '|' '\n' | while read -r name; do \

@@ -166,6 +166,31 @@ func promote(s []int64, line int64) bool {
 	return hit
 }
 
+// fourWay reports whether every line of c can take miss4: 4 ways and
+// a power-of-two set count, L1IDefault's geometry.
+func (c *Cache) fourWay() bool { return c.assoc == 4 && c.mask >= 0 }
+
+// miss4 is the range kernels' LRU step on a 4-way set s, most recently
+// used first: it checks the MRU way and otherwise shifts the set back
+// one way in the same pass that scans it for line, leaving s as promote
+// would. It reports whether line missed. It stays within the
+// compiler's inlining budget, so both kernels inline it.
+func miss4(s *[4]int64, line int64) bool {
+	t := s[0]
+	if t == line {
+		return false
+	}
+	s[0] = line
+	if s[1], t = t, s[1]; t == line {
+		return false
+	}
+	if s[2], t = t, s[2]; t == line {
+		return false
+	}
+	s[3], t = t, s[3]
+	return t != line
+}
+
 // accessPrefetched is Access on a cache holding prefetch state: each
 // way's flag moves with its tag, and a demand hit on a prefetched line
 // counts once in PrefetchHits.

@@ -83,105 +83,174 @@ type CorunResult struct {
 // (SMT round-robin fetch at block granularity). The simulation ends when
 // the primary replayer (index 0) exhausts its trace; the peer is
 // expected to be wrapping so it keeps producing interference throughout.
-// Each stream is resolved to a layout.Lap and replayed from the
-// replayer's cursor, which is then moved past the occurrences replayed.
+// A wrapping primary would never end, so it panics on one. Each stream
+// is resolved to a layout.Lap and replayed from the replayer's cursor,
+// which is then moved past the occurrences replayed.
 func SimulateCorun(cfg Config, primary, peer *layout.Replayer) CorunResult {
+	mustEnd(primary)
 	return corunReplayers(cfg, primary, peer, primary.Stream().Resolve(), peer.Stream().Resolve())
+}
+
+// mustEnd panics on a wrapping primary replayer: the co-run kernel
+// stops only when its primary runs out.
+func mustEnd(primary *layout.Replayer) {
+	if primary.Wraps() {
+		panic("cachesim: co-run primary replayer wraps, so the simulation would never end")
+	}
 }
 
 // SimulateCorunLaps is SimulateCorun over resolved laps, for a caller
 // that replays each stream in several simulations: the primary replays
 // its lap once from the start, against a peer that wraps from its start.
 func SimulateCorunLaps(cfg Config, primary, peer *layout.Lap) CorunResult {
-	return corun(New(cfg), lane{lap: primary}, lane{lap: peer, wrap: true})
+	return corun(New(cfg), primary.Ranges, peer, 0, true)
 }
 
 // corunReplayers runs the kernel from the replayers' cursors over their
 // resolved laps and leaves the cursors where a stepwise replay would.
 func corunReplayers(cfg Config, primary, peer *layout.Replayer, pl, ql *layout.Lap) CorunResult {
-	res := corun(New(cfg),
-		lane{lap: pl, wrap: primary.Wraps(), next: pl.RangeIndex(primary.Pos())},
-		lane{lap: ql, wrap: peer.Wraps(), next: ql.RangeIndex(peer.Pos())})
+	res := corun(New(cfg), pl.Ranges[pl.RangeIndex(primary.Pos()):], ql, ql.RangeIndex(peer.Pos()), peer.Wraps())
 	primary.Skip(int(res.Blocks[0]))
 	peer.Skip(int(res.Blocks[1]))
 	res.PeerLaps = peer.Laps()
 	return res
 }
 
-// lane is one thread of the co-run kernel: a resolved lap, the index
-// of the next occurrence's first range in it, and the thread's line
-// offset in the shared cache.
-type lane struct {
-	lap  *layout.Lap
-	wrap bool
-	next int
-	laps int
-	off  int64
-}
-
-// turn replays the lane's next occurrence through c and returns its
-// accesses and misses; ok is false when a non-wrapping lane is
-// exhausted. Most accesses hit their set's MRU way and go no further.
-func (l *lane) turn(c *Cache) (acc, miss int64, ok bool) {
-	rs := l.lap.Ranges
-	i := l.next
-	if i == len(rs) {
-		if !l.wrap || i == 0 {
-			return 0, 0, false
-		}
-		i = 0
-		l.laps++
+// corun is the range kernel: one occurrence of the primary's ranges p
+// (a stub range, if any, then the block range that ends every
+// occurrence), then one of the peer lap q's from range index j, until
+// p is exhausted. A wrapping peer restarts its lap, and its final
+// occurrence then ends at the lap's WrapLast; a peer that does not wrap
+// drops out when it runs out. The peer's lines sit PeerLineOffset
+// above the primary's. Cursors, the peer's laps and the counters are
+// locals.
+//
+// Every line takes one inlined LRU step: under 4 ways and a
+// power-of-two set count (L1IDefault) the loop is corun4's, whose step
+// is miss4; any other geometry takes base and promote, as Access does.
+// The two loops differ only in that step: one loop that tested the
+// geometry per line or per range measured slower (DESIGN.md §12).
+func corun(c *Cache, p []layout.LineRange, q *layout.Lap, j int, wrap bool) CorunResult {
+	if c.fourWay() {
+		return corun4(c.tags, c.mask, p, q, j, wrap)
 	}
+	var res CorunResult
+	var acc0, miss0, acc1, miss1 int64
+	qr := q.Ranges
+	wrap = wrap && len(qr) > 0
 	tags, assoc := c.tags, c.assoc
-	for {
-		r := rs[i]
-		i++
-		first, last := int64(r.First), int64(r.Last)
-		stub := first < 0
-		if stub {
-			first = ^first
-		} else if i == len(rs) && l.wrap {
-			last = int64(l.lap.WrapLast)
-		}
-		for ln := first + l.off; ln <= last+l.off; ln++ {
-			b := c.base(ln)
-			if tags[b] != ln && !promote(tags[b:b+assoc:b+assoc], ln) {
-				miss++
+	for i := 0; i < len(p); {
+		for {
+			r := p[i]
+			i++
+			first, last := int64(r.First), int64(r.Last)
+			stub := first < 0
+			if stub {
+				first = ^first
+			}
+			for ln := first; ln <= last; ln++ {
+				if b := c.base(ln); tags[b] != ln && !promote(tags[b:b+assoc:b+assoc], ln) {
+					miss0++
+				}
+			}
+			acc0 += last - first + 1
+			if !stub {
+				break
 			}
 		}
-		acc += last - first + 1
-		if !stub {
-			l.next = i
-			return acc, miss, true
+		res.Blocks[0]++
+		if j == len(qr) {
+			if !wrap {
+				continue
+			}
+			j = 0
+			res.PeerLaps++
 		}
+		for {
+			r := qr[j]
+			j++
+			first, last := int64(r.First), int64(r.Last)
+			stub := first < 0
+			if stub {
+				first = ^first
+			} else if j == len(qr) && wrap {
+				last = int64(q.WrapLast)
+			}
+			for ln := first + PeerLineOffset; ln <= last+PeerLineOffset; ln++ {
+				if b := c.base(ln); tags[b] != ln && !promote(tags[b:b+assoc:b+assoc], ln) {
+					miss1++
+				}
+			}
+			acc1 += last - first + 1
+			if !stub {
+				break
+			}
+		}
+		res.Blocks[1]++
 	}
+	res.PerThread[0] = Stats{Accesses: acc0, Misses: miss0}
+	res.PerThread[1] = Stats{Accesses: acc1, Misses: miss1}
+	return res
 }
 
-// corun is the co-run kernel: one occurrence of the primary lane, then
-// one of the peer's, until the primary is exhausted. Accesses and
-// misses are counted in locals.
-func corun(c *Cache, p, q lane) CorunResult {
+// corun4 is corun on a 4-way tag array whose set count is a power of
+// two, mask the set mask: each line's step is miss4 on its set.
+func corun4(tags []int64, mask int64, p []layout.LineRange, q *layout.Lap, j int, wrap bool) CorunResult {
 	var res CorunResult
-	var acc, miss [2]int64
-	q.off = PeerLineOffset
-	for {
-		a, m, ok := p.turn(c)
-		if !ok {
-			break
+	var acc0, miss0, acc1, miss1 int64
+	qr := q.Ranges
+	wrap = wrap && len(qr) > 0
+	for i := 0; i < len(p); {
+		for {
+			r := p[i]
+			i++
+			first, last := int64(r.First), int64(r.Last)
+			stub := first < 0
+			if stub {
+				first = ^first
+			}
+			for ln := first; ln <= last; ln++ {
+				if miss4((*[4]int64)(tags[int(ln&mask)<<2:]), ln) {
+					miss0++
+				}
+			}
+			acc0 += last - first + 1
+			if !stub {
+				break
+			}
 		}
-		acc[0] += a
-		miss[0] += m
 		res.Blocks[0]++
-		if a, m, ok = q.turn(c); ok {
-			acc[1] += a
-			miss[1] += m
-			res.Blocks[1]++
+		if j == len(qr) {
+			if !wrap {
+				continue
+			}
+			j = 0
+			res.PeerLaps++
 		}
+		for {
+			r := qr[j]
+			j++
+			first, last := int64(r.First), int64(r.Last)
+			stub := first < 0
+			if stub {
+				first = ^first
+			} else if j == len(qr) && wrap {
+				last = int64(q.WrapLast)
+			}
+			for ln := first + PeerLineOffset; ln <= last+PeerLineOffset; ln++ {
+				if miss4((*[4]int64)(tags[int(ln&mask)<<2:]), ln) {
+					miss1++
+				}
+			}
+			acc1 += last - first + 1
+			if !stub {
+				break
+			}
+		}
+		res.Blocks[1]++
 	}
-	for t := range res.PerThread {
-		res.PerThread[t] = Stats{Accesses: acc[t], Misses: miss[t]}
-	}
-	res.PeerLaps = q.laps
+	res.PerThread[0] = Stats{Accesses: acc0, Misses: miss0}
+	res.PerThread[1] = Stats{Accesses: acc1, Misses: miss1}
 	return res
 }
 
@@ -197,10 +266,12 @@ type CorunJob struct {
 // jobs' replayers is resolved once and shared read-only; each simulation
 // owns its cache and cursors, so results are identical to running the
 // jobs one by one (workers = 1 pins that serial reference path; 0 means
-// every available core).
+// every available core). Like SimulateCorun, it panics on a job whose
+// primary wraps.
 func SimulateCorunBatch(cfg Config, jobs []CorunJob, workers int) []CorunResult {
 	laps := make(map[layout.Stream]*layout.Lap)
 	for _, j := range jobs {
+		mustEnd(j.Primary)
 		for _, r := range [2]*layout.Replayer{j.Primary, j.Peer} {
 			if s := r.Stream(); laps[s] == nil {
 				laps[s] = s.Resolve()

@@ -47,26 +47,54 @@ func (s *SoloStream) Finish() SoloResult {
 	return s.res
 }
 
-// drain walks a batch of ranges over the tag array as the co-run lane
-// does, counting accesses and misses in locals.
+// drain walks a batch of ranges over the tag array with the co-run
+// kernel's LRU step (see corun), counting in locals.
 func (s *SoloStream) drain(rs []layout.LineRange) {
 	c := s.c
-	tags, assoc := c.tags, c.assoc
 	var acc, miss int64
+	if c.fourWay() {
+		acc, miss = walk4(c.tags, c.mask, rs)
+	} else {
+		acc, miss = c.walk(rs)
+	}
+	s.res.Stats.Accesses += acc
+	s.res.Stats.Misses += miss
+	s.buf = rs[:0]
+}
+
+// walk replays ranges through c with base and promote and returns the
+// accesses and misses.
+func (c *Cache) walk(rs []layout.LineRange) (acc, miss int64) {
+	tags, assoc := c.tags, c.assoc
 	for _, r := range rs {
 		first, last := int64(r.First), int64(r.Last)
 		if first < 0 {
 			first = ^first
 		}
 		for ln := first; ln <= last; ln++ {
-			b := c.base(ln)
-			if tags[b] != ln && !promote(tags[b:b+assoc:b+assoc], ln) {
+			if b := c.base(ln); tags[b] != ln && !promote(tags[b:b+assoc:b+assoc], ln) {
 				miss++
 			}
 		}
 		acc += last - first + 1
 	}
-	s.res.Stats.Accesses += acc
-	s.res.Stats.Misses += miss
-	s.buf = rs[:0]
+	return acc, miss
+}
+
+// walk4 is walk on a 4-way tag array whose set count is a power of two,
+// mask the set mask: each line's step is miss4 on its set.
+func walk4(tags []int64, mask int64, rs []layout.LineRange) (acc, miss int64) {
+	for _, r := range rs {
+		first, last := int64(r.First), int64(r.Last)
+		if first < 0 {
+			first = ^first
+		}
+		for ln := first; ln <= last; ln++ {
+			if miss4((*[4]int64)(tags[int(ln&mask)<<2:]), ln) {
+				miss++
+			}
+		}
+		acc += last - first + 1
+	}
+	return acc, miss
 }

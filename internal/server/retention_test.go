@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -96,5 +97,96 @@ func TestJobRetentionKeepsActiveOverCap(t *testing.T) {
 	// Active jobs are never evicted, even far over the cap.
 	if got := s.JobsTracked(); got != 5 {
 		t.Fatalf("tracked = %d, want 5 (active jobs exempt from cap)", got)
+	}
+}
+
+// TestJobRetentionOrder: retention follows the order jobs finish in,
+// not the order they were created in. A job created first but finished
+// last outlives the jobs that finished before it, an entry whose job
+// has left the map is skipped, and jobs finished on other goroutines
+// while submissions prune stay within the cap.
+func TestJobRetentionOrder(t *testing.T) {
+	s := newRetentionServer(t, Config{JobTTL: time.Hour, MaxJobs: 3})
+	now := time.Unix(4000, 0)
+	s.now = func() time.Time { return now }
+	lookup := func(id string) *Job {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[id]
+	}
+	tracked := func(id string) bool { return lookup(id) != nil }
+	drop := func(id string) {
+		s.mu.Lock()
+		delete(s.jobs, id)
+		s.mu.Unlock()
+	}
+
+	first := storedJob("first", StatusRunning, time.Time{})
+	a := storedJob("a", StatusRunning, time.Time{})
+	b := storedJob("b", StatusRunning, time.Time{})
+	for _, j := range []*Job{first, a, b} {
+		s.storeJob(j)
+	}
+	for _, j := range []*Job{a, b, first} {
+		now = now.Add(time.Second)
+		s.finish(j, StatusDone, nil, nil)
+	}
+	s.storeJob(storedJob("c", StatusQueued, time.Time{}))
+	if tracked("a") || !tracked("b") || !tracked("first") {
+		t.Fatalf("after one eviction: a %v, b %v, first %v; want only a evicted", tracked("a"), tracked("b"), tracked("first"))
+	}
+	s.storeJob(storedJob("d", StatusQueued, time.Time{}))
+	if tracked("b") || !tracked("first") {
+		t.Fatalf("after two evictions: b %v, first %v; want b evicted, first kept", tracked("b"), tracked("first"))
+	}
+
+	// Drop the finished job "first" from the map, as a rejected
+	// admission drops its job: its entry must not count as an eviction,
+	// so the next submission over the cap evicts the later-finished x.
+	x := storedJob("x", StatusRunning, time.Time{})
+	drop("c")
+	s.storeJob(x)
+	now = now.Add(time.Second)
+	s.finish(x, StatusDone, nil, nil)
+	drop("first")
+	s.storeJob(storedJob("e", StatusQueued, time.Time{}))
+	if !tracked("e") || !tracked("x") || s.JobsTracked() != 3 {
+		t.Fatalf("under the cap after a drop: tracked %d, x %v; want 3 with x kept", s.JobsTracked(), tracked("x"))
+	}
+	s.storeJob(storedJob("f", StatusQueued, time.Time{}))
+	if tracked("x") || !tracked("f") {
+		t.Fatalf("over the cap: x %v, f %v; want x evicted past the dropped entry", tracked("x"), tracked("f"))
+	}
+
+	// Past the TTL, the expired entries go whatever the cap.
+	now = now.Add(2 * time.Hour)
+	s.finish(lookup("d"), StatusDone, nil, nil)
+	now = now.Add(2 * time.Hour)
+	s.storeJob(storedJob("g", StatusQueued, time.Time{}))
+	if tracked("d") {
+		t.Fatal("a job past its TTL was kept")
+	}
+
+	// Jobs finishing on their own goroutines while submissions prune:
+	// once all have finished, the next submission brings the map under
+	// the cap.
+	for _, id := range []string{"e", "f", "g"} {
+		s.finish(lookup(id), StatusDone, nil, nil)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		j := storedJob(fmt.Sprintf("run-%d", i), StatusRunning, time.Time{})
+		s.storeJob(j)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.finish(j, StatusDone, nil, nil)
+		}()
+		s.storeJob(storedJob(fmt.Sprintf("hit-%d", i), StatusDone, now))
+	}
+	wg.Wait()
+	s.storeJob(storedJob("last", StatusQueued, time.Time{}))
+	if got := s.JobsTracked(); got > 3 {
+		t.Fatalf("tracked %d after the concurrent finishes, want at most MaxJobs (3)", got)
 	}
 }

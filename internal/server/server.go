@@ -77,7 +77,6 @@ import (
 	"mime/multipart"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -216,8 +215,12 @@ type Server struct {
 	streamBytes atomic.Int64
 	streamPeak  atomic.Int64
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// done holds terminal jobs in finish order, oldest first, for
+	// pruneJobsLocked: finishJob enters a job the map holds, storeJob
+	// one it stores terminal.
+	done   []*Job
 	progs  map[string]*progEntry
 	nextID atomic.Int64
 
@@ -863,6 +866,11 @@ func (s *Server) finishJob(j *Job, hit bool, status string, doc any, err error) 
 	}
 	s.ring.Push(sum)
 	j.settle(status, doc, err, s.now())
+	s.mu.Lock()
+	if s.jobs[j.id] == j {
+		s.done = append(s.done, j)
+	}
+	s.mu.Unlock()
 	logger := j.logger
 	if logger == nil {
 		logger = obs.NopLogger
@@ -984,40 +992,38 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- helpers ----
 
+// storeJob tracks j, after pruning, and enters it in the finish order
+// if it is already terminal (answerCached finishes a job before it
+// stores it).
 func (s *Server) storeJob(j *Job) {
 	s.mu.Lock()
 	s.pruneJobsLocked(s.now())
 	s.jobs[j.id] = j
+	if _, terminal := j.terminal(); terminal {
+		s.done = append(s.done, j)
+	}
 	s.mu.Unlock()
 }
 
-// pruneJobsLocked enforces the completed-job retention bound: terminal
-// jobs past JobTTL are dropped, and when the map still exceeds MaxJobs
-// the oldest terminal jobs go first. Queued and running jobs are always
-// kept — only their status record is subject to retention, and the
-// result itself stays in the content-addressed cache either way.
+// pruneJobsLocked enforces the completed-job retention bound from the
+// oldest end of the finish order: terminal jobs past JobTTL are
+// dropped, and while the map still holds MaxJobs jobs the earliest
+// finished go next. An entry whose job has left the map is skipped.
+// Each entry is popped once, so a submission pays amortized O(1).
+// Queued and running jobs are always kept — only their status record
+// is subject to retention, and the result itself stays in the
+// content-addressed cache either way.
 func (s *Server) pruneJobsLocked(now time.Time) {
-	for id, j := range s.jobs {
-		if fin, terminal := j.terminal(); terminal && now.Sub(fin) > s.cfg.JobTTL {
-			delete(s.jobs, id)
+	for len(s.done) > 0 {
+		j := s.done[0]
+		if s.jobs[j.id] == j {
+			if fin, _ := j.terminal(); now.Sub(fin) <= s.cfg.JobTTL && len(s.jobs) < s.cfg.MaxJobs {
+				return
+			}
+			delete(s.jobs, j.id)
 		}
-	}
-	if len(s.jobs) < s.cfg.MaxJobs {
-		return
-	}
-	type finished struct {
-		id  string
-		fin time.Time
-	}
-	var term []finished
-	for id, j := range s.jobs {
-		if fin, terminal := j.terminal(); terminal {
-			term = append(term, finished{id: id, fin: fin})
-		}
-	}
-	sort.Slice(term, func(i, j int) bool { return term[i].fin.Before(term[j].fin) })
-	for i := 0; i < len(term) && len(s.jobs) >= s.cfg.MaxJobs; i++ {
-		delete(s.jobs, term[i].id)
+		s.done[0] = nil
+		s.done = s.done[1:]
 	}
 }
 

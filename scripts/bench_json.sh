@@ -4,8 +4,8 @@
 #
 #   bench_json.sh run [out.json]
 #       Run the kernel benchmarks (affinity stack passes, TRG
-#       construction, footprint curve, co-run simulation, pair
-#       analysis, solo replay, placement solver, streaming decode and
+#       construction, footprint curve, co-run simulation and kernel,
+#       pair analysis, solo replay, placement solver, streaming decode and
 #       feed, resident analysis) with -benchmem and write one JSON document with ns/op,
 #       B/op and allocs/op per benchmark, plus the machine it ran on:
 #       nproc, GOMAXPROCS (the -N suffix go test gives benchmark names,
@@ -38,10 +38,11 @@ BENCHTIME=${BENCHTIME:-3x}
 # them on a trace it holds (OptimizeResident), plus the end-to-end
 # worker sweeps in the root package, the /v1/corun pair
 # analysis (its six co-run simulations over four resolved streams, both
-# footprint curves and its parts), the two solo replays a job runs, the
+# footprint curves and its parts), the co-run kernel alone over resolved
+# laps (CorunLaps), the two solo replays a job runs, the
 # runtime-telemetry sampler tick, which fires for the process lifetime,
 # and the streaming decode over uniform and suite-like symbols.
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkBuildHierarchyArena|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEndDropped|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamDecodeClustered|BenchmarkStreamFeed|BenchmarkRuntimeSamplerTick|BenchmarkComputePair|BenchmarkSoloStream|BenchmarkOptimizeResident)$'
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkBBAffinityFeed|BenchmarkBBTRGFeed|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkBuildHierarchyArena|BenchmarkBuildArena|BenchmarkReduce|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEndDropped|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamDecodeClustered|BenchmarkStreamFeed|BenchmarkRuntimeSamplerTick|BenchmarkComputePair|BenchmarkCorunLaps|BenchmarkSoloStream|BenchmarkOptimizeResident)$'
 PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/server ./internal/cachesim ./internal/core'
 
 # The benchmarks gated at zero allocations: the affinity stack passes
